@@ -2,15 +2,20 @@
 feedforward / recurrent / graph baselines, behind one predict interface.
 
 All models are parameterized by named ``autodiff.Var`` leaves so a single
-reverse pass yields every gradient. Plain-array views of the simplicial
-stack and the recurrent stack are exposed for inspection and serve as an
-independent forward oracle in the tests.
+reverse pass yields every gradient. The graph forward serves training, and
+serves the tests as the oracle of the SCRNN's prediction, which runs on
+plain arrays without a graph: its k >= 1 inputs depend only on a bin's
+binarized column, so it filters each distinct activity pattern once.
+Plain-array views of the simplicial stack and the recurrent stack are
+exposed for inspection and serve as an independent forward oracle in the
+tests.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +159,11 @@ def prepare(
         if complex_ is None:
             k_max = 1 if arch == "gnn" else cfg.k_max
             complex_ = build_complex_from_bits(bits.bits, k_max, range(n_test, n_bins))
+        elif complex_.n_vertices != counts.shape[0]:
+            raise ValueError(
+                f"complex has {complex_.n_vertices} vertices but the dataset has "
+                f"{counts.shape[0]} neurons"
+            )
         act = {
             k: coactivity_matrix(complex_, bits.bits, k)
             for k in range(1, complex_.dim + 1)
@@ -295,42 +305,50 @@ class ScrnnModel:
                 acc = ad.add(acc, ad.scale(self.params[f"{base}.up{i}"], power))
         return acc
 
+    def _laplacian_powers(self, k, x):
+        """``x`` followed by its lower, then its upper Laplacian powers up to
+        the filter degree: the filter terms in their fixed order."""
+        lower, upper = self.laps_float[k]
+        out = [x]
+        for lap, present in ((lower, k >= 1), (upper, k < self.complex.dim)):
+            power = x
+            for _ in range(self.degree if present else 0):
+                power = lap @ power
+                out.append(power)
+        return out
+
     def _input_terms(self, prep: PreparedData):
-        """Laplacian powers of the input cochains over all bins.
+        """Laplacian powers of the input cochains; returns
+        ``(terms, pattern_of_bin)``.
 
-        The first layer's filters only scale these matrices, so they are
-        computed once per dataset and sliced per batch; column slices of a
-        sparse product equal the product of the sliced input.
+        ``terms[0]`` holds the powers of the spike counts, one column per
+        bin. For k >= 1 the input cochain depends only on the bin's
+        binarized column, so ``terms[k]`` holds one column per distinct
+        column of ``prep.bits``, and bin ``b`` reads column
+        ``pattern_of_bin[b]``. The first layer's filters only scale these
+        matrices, so they are computed once per dataset and gathered per
+        batch; each column of a sparse product depends on the same column of
+        the input alone, so the gathered columns equal per-bin products bit
+        for bit.
         """
-        import weakref
-
         if self._term_cache is not None:
-            ref, terms = self._term_cache
+            ref, cached = self._term_cache
             if ref() is prep:
-                return terms
-        top = self.complex.dim
-        terms = {}
-        for k in range(top + 1):
-            base = (
-                prep.counts.astype(np.float64)
-                if k == 0
-                else prep.act[k].astype(np.float64)
-            )
-            lower, upper = self.laps_float[k]
-            per_dim = [base]
-            if k >= 1:
-                power = base
-                for _ in range(self.degree):
-                    power = lower @ power
-                    per_dim.append(power)
-            if k < top:
-                power = base
-                for _ in range(self.degree):
-                    power = upper @ power
-                    per_dim.append(power)
-            terms[k] = np.stack(per_dim)
-        self._term_cache = (weakref.ref(prep), terms)
-        return terms
+                return cached
+        _, first, pattern_of_bin = np.unique(
+            prep.bits, axis=1, return_index=True, return_inverse=True
+        )
+        pattern_of_bin = pattern_of_bin.reshape(-1)
+        terms = {0: np.stack(self._laplacian_powers(0, prep.counts.astype(np.float64)))}
+        for k in range(1, self.complex.dim + 1):
+            act = prep.act[k][:, first]
+            if not np.array_equal(prep.act[k], act[:, pattern_of_bin]):
+                raise ValueError(
+                    f"act[{k}] differs between bins with the same binarized column"
+                )
+            terms[k] = np.stack(self._laplacian_powers(k, act.astype(np.float64)))
+        self._term_cache = (weakref.ref(prep), (terms, pattern_of_bin))
+        return terms, pattern_of_bin
 
     def _sc_forward(self, term_slices):
         top = self.complex.dim
@@ -379,10 +397,11 @@ class ScrnnModel:
             [starts + t for t in range(self.seq_len)]
         )  # step-major
         col_idx = (bin_order[:, None] + np.arange(self.n_col)[None, :]).reshape(-1)
-        terms = self._input_terms(prep)
+        terms, pattern_of_bin = self._input_terms(prep)
+        patterns = pattern_of_bin[bin_order]
         term_slices = {}
         for k in range(self.complex.dim + 1):
-            sliced = terms[k][:, :, col_idx if k == 0 else bin_order]
+            sliced = terms[k][:, :, col_idx if k == 0 else patterns]
             shape = sliced.shape[1:]
             term_slices[k] = (
                 np.ascontiguousarray(sliced).reshape(sliced.shape[0], -1),
@@ -409,13 +428,103 @@ class ScrnnModel:
         return ad.mse(pred, targets), pred
 
     def predict(self, prep, starts, chunk=256) -> np.ndarray:
-        """Model outputs for a list of window starts, shape (2, n)."""
+        """Model outputs for a list of window starts, shape (2, n).
+
+        Runs on plain arrays, without a graph, ``chunk`` windows at a time.
+        Per chunk the simplicial stack runs once per distinct count column
+        at k=0 and once per distinct activity pattern at k >= 1; each
+        dimension's output is projected through its column block of
+        ``rnn.l0.w_h`` and gathered per bin for the recurrence. ``forward``
+        computes the same outputs through the autodiff graph.
+        """
+        terms, pattern_of_bin = self._input_terms(prep)
         starts = np.asarray(starts)
-        outputs = []
-        for lo in range(0, len(starts), chunk):
-            pred, _ = self.forward(prep, starts[lo:lo + chunk])
-            outputs.append(pred.value)
-        return np.concatenate(outputs, axis=1)
+        return np.concatenate(
+            [
+                self._predict_chunk(terms, pattern_of_bin, starts[lo:lo + chunk])
+                for lo in range(0, len(starts), chunk)
+            ],
+            axis=1,
+        )
+
+    def _predict_chunk(self, terms, pattern_of_bin, starts):
+        n = len(starts)
+        bins, bin_pos = np.unique(
+            starts[:, None] + np.arange(self.seq_len), return_inverse=True
+        )
+        cols, col_pos = np.unique(
+            bins[:, None] + np.arange(self.n_col), return_inverse=True
+        )
+        pats, pat_pos = np.unique(pattern_of_bin[bins], return_inverse=True)
+        outs = self._sc_plain(
+            {k: terms[k][:, :, cols if k == 0 else pats] for k in terms}
+        )
+        w_h = self.params["rnn.l0.w_h"].value
+        bounds = np.cumsum([0] + [self.complex.n_simplices(k) for k in outs])
+        proj = [w_h[:, bounds[k]:bounds[k + 1]] @ outs[k] for k in outs]
+        per_bin = proj[0][:, col_pos.reshape(len(bins), self.n_col)].sum(axis=2)
+        for k in range(1, len(proj)):
+            per_bin = per_bin + proj[k][:, pat_pos.reshape(-1)]
+        bin_pos = bin_pos.reshape(n, self.seq_len)
+        return self._rnn_plain([per_bin[:, bin_pos[:, t]] for t in range(self.seq_len)])
+
+    def _term_weights(self, li, fi, k):
+        return np.array(
+            [self.params[name].value for name in self._filter_term_names(li, fi, k)]
+        )
+
+    def _sc_plain(self, first_terms):
+        """The simplicial stack on plain arrays. ``first_terms[k]`` stacks
+        the input's Laplacian powers, one column per input; returns the
+        output summed over filters per dimension, one column per input."""
+        dims = range(self.complex.dim + 1)
+        feats = [
+            {
+                k: np.maximum(
+                    np.tensordot(self._term_weights(0, fi, k), first_terms[k], axes=1), 0.0
+                )
+                for k in dims
+            }
+            for fi in range(self.n_filters)
+        ]
+        for li in range(1, self.sc_layers):
+            # All filters of a layer see the same feature, so their sum is
+            # one filter with the summed weights.
+            weights = {
+                k: sum(self._term_weights(li, fi, k) for fi in range(self.n_filters))
+                for k in dims
+            }
+            feats = [
+                {
+                    k: np.maximum(
+                        sum(
+                            w * power
+                            for w, power in zip(weights[k], self._laplacian_powers(k, feat[k]))
+                        ),
+                        0.0,
+                    )
+                    for k in dims
+                }
+                for feat in feats
+            ]
+        return {k: sum(feat[k] for feat in feats) for k in dims}
+
+    def _rnn_plain(self, inputs):
+        """Elman stack and head on plain arrays; ``inputs[t]`` is the first
+        layer's input product ``w_h @ z_t``, one column per window."""
+        value = {name: p.value for name, p in self.params.items()}
+        for j in range(self.nn_layers):
+            if j:
+                inputs = [value[f"rnn.l{j}.w_h"] @ h for h in inputs]
+            w_c = value[f"rnn.l{j}.w_c"]
+            b_h, b_c = value[f"rnn.l{j}.b_h"], value[f"rnn.l{j}.b_c"]
+            h = np.zeros((w_c.shape[0], inputs[0].shape[1]))
+            outputs = []
+            for x in inputs:
+                h = np.tanh((x + b_h) + (w_c @ h + b_c))
+                outputs.append(h)
+            inputs = outputs
+        return value["head.w"] @ h + value["head.b"]
 
     def sc_stack(self) -> ScLayerStack:
         """Plain-array view of the simplicial filters."""

@@ -92,15 +92,10 @@ class Adam:
             )
 
 
-def _validation_loss(model, prep, chunk=512) -> float:
+def _validation_loss(model, prep) -> float:
+    """Mean squared error of ``model.predict`` on the validation windows."""
     starts = prep.test_starts
-    total, count = 0.0, 0
-    for lo in range(0, len(starts), chunk):
-        part = starts[lo:lo + chunk]
-        loss, _ = model.loss_batch(prep, part)
-        total += float(loss.value) * len(part)
-        count += len(part)
-    return total / count
+    return mse_loss(model.predict(prep, starts), prep.targets[:, starts + model.seq_len - 1])
 
 
 def train(model, prep: PreparedData, cfg: TrainConfig, clip_norm: float = 5.0):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,72 @@ class TestScrnnForward:
         assert np.all(np.isfinite(y))
         angle = decode_angle(y)
         assert 0.0 <= angle < 360.0
+
+
+class TestGraphFreePredict:
+    @pytest.mark.parametrize(
+        "arch, cfg_kw",
+        [
+            ("scrnn", dict(sc_layers=1, n_filters=1)),
+            ("scrnn", dict(sc_layers=1, n_filters=3)),
+            ("scrnn", dict(sc_layers=3, n_filters=1)),
+            ("scrnn", dict(sc_layers=3, n_filters=3, degree=2)),
+            ("scrnn", dict(degree=2, nn_layers=1)),
+            ("scrnn", dict(n_col=3)),
+            ("gnn", dict()),
+        ],
+    )
+    def test_matches_graph_forward(self, arch, cfg_kw):
+        """The plain-array predict equals the autodiff graph forward, over
+        more windows than one chunk and over silent bins."""
+        prep, cfg = small_hd_prep(arch=arch, **cfg_kw)
+        model = build_model(arch, prep, cfg)
+        starts = np.concatenate([prep.test_starts, prep.train_starts])
+        assert len(starts) > 256
+        bins = (starts[:, None] + np.arange(cfg.seq_len)).reshape(-1)
+        assert not prep.bits[:, bins].any(axis=0).all()
+        got = model.predict(prep, starts)
+        want = model.forward(prep, starts)[0].value
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_pattern_terms_equal_per_bin_powers(self):
+        prep, cfg = small_hd_prep(degree=2)
+        model = ScrnnModel(prep.complex, cfg)
+        terms, pattern_of_bin = model._input_terms(prep)
+        top = prep.complex.dim
+        for k in range(1, top + 1):
+            x = prep.act[k].astype(np.float64)
+            want = [x]
+            lap = model.laps[k]
+            for half, present in ((lap.lower, True), (lap.upper, k < top)):
+                power = x
+                for _ in range(cfg.degree if present else 0):
+                    power = half.astype(np.float64) @ power
+                    want.append(power)
+            assert terms[k].shape[2] < prep.n_bins
+            assert np.array_equal(terms[k][:, :, pattern_of_bin], np.stack(want))
+
+    def test_act_not_constant_per_pattern_rejected(self):
+        prep, cfg = small_hd_prep()
+        _, inverse, counts = np.unique(
+            prep.bits, axis=1, return_inverse=True, return_counts=True
+        )
+        b = int(np.flatnonzero(counts[inverse.reshape(-1)] >= 2)[0])
+        act = {k: v.copy() for k, v in prep.act.items()}
+        act[1][0, b] = 1 - act[1][0, b]
+        bad = dataclasses.replace(prep, act=act)
+        with pytest.raises(ValueError, match=r"act\[1\]"):
+            ScrnnModel(prep.complex, cfg).predict(bad, prep.test_starts[:3])
+
+
+class TestPrepare:
+    def test_checkpoint_complex_neuron_mismatch_named(self):
+        cfg = TrainConfig(kind="hd", arch="scrnn", seed=3)
+        twelve = simulate_hd(HdSimConfig(n_neurons=12, duration=60.0, seed=3))
+        ten = simulate_hd(HdSimConfig(n_neurons=10, duration=60.0, seed=3))
+        complex_ = prepare(twelve, cfg).complex
+        with pytest.raises(ValueError, match="12 vertices.*10 neurons"):
+            prepare(ten, cfg, complex_=complex_)
 
 
 class TestBaselines:

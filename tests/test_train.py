@@ -194,6 +194,21 @@ class TestTrainLoop:
         ) < 1e-12
 
 
+class TestValidationLoss:
+    @pytest.mark.parametrize("arch", ["scrnn", "ffnn", "rnn"])
+    def test_matches_chunked_graph_loss(self, arch):
+        from topodecode.train import _validation_loss
+
+        prep, cfg = tiny_prep_and_cfg(arch=arch)
+        model = build_model(arch, prep, cfg)
+        starts = prep.test_starts
+        total = 0.0
+        for lo in range(0, len(starts), 64):
+            part = starts[lo:lo + 64]
+            total += float(model.loss_batch(prep, part)[0].value) * len(part)
+        assert abs(_validation_loss(model, prep) - total / len(starts)) < 1e-12
+
+
 class TestSearch:
     def test_budget_one_returns_sampled_config(self):
         prep, cfg = tiny_prep_and_cfg()
