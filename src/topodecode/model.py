@@ -448,7 +448,6 @@ class ScrnnModel:
         )
 
     def _predict_chunk(self, terms, pattern_of_bin, starts):
-        n = len(starts)
         bins, bin_pos = np.unique(
             starts[:, None] + np.arange(self.seq_len), return_inverse=True
         )
@@ -465,7 +464,7 @@ class ScrnnModel:
         per_bin = proj[0][:, col_pos.reshape(len(bins), self.n_col)].sum(axis=2)
         for k in range(1, len(proj)):
             per_bin = per_bin + proj[k][:, pat_pos.reshape(-1)]
-        bin_pos = bin_pos.reshape(n, self.seq_len)
+        bin_pos = bin_pos.reshape(len(starts), self.seq_len)
         return self._rnn_plain([per_bin[:, bin_pos[:, t]] for t in range(self.seq_len)])
 
     def _term_weights(self, li, fi, k):
