@@ -8,7 +8,7 @@ position.
 
 from .config import TrainConfig
 from .metrics import aae, aed, mae, rescale
-from .model import build_baseline, build_model, decode_angle, prepare, scrnn_predict
+from .model import build_model, decode_angle, prepare, scrnn_predict
 from .spikes import bin_labels, bin_spikes, binarize_rows, load_spike_dataset
 from .complexes import build_complex, hodge_laplacian, incidence_matrix
 from .synth import GridSimConfig, HdSimConfig, simulate_grid, simulate_hd
@@ -22,7 +22,6 @@ __all__ = [
     "aed",
     "mae",
     "rescale",
-    "build_baseline",
     "build_model",
     "decode_angle",
     "prepare",

@@ -21,7 +21,6 @@ __all__ = [
     "scale",
     "relu",
     "tanh",
-    "identity",
     "concat_rows",
     "slice_cols",
     "sum_col_blocks",
@@ -29,7 +28,6 @@ __all__ = [
     "mul_mask",
     "mse",
     "backward",
-    "ACTIVATIONS",
 ]
 
 
@@ -136,13 +134,6 @@ def tanh(x: Var) -> Var:
         return (g * (1.0 - out * out),)
 
     return Var(out, (x,), vjp)
-
-
-def identity(x: Var) -> Var:
-    return x
-
-
-ACTIVATIONS = {"relu": relu, "tanh": tanh, "identity": identity}
 
 
 def concat_rows(parts: list[Var]) -> Var:

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .config import TrainConfig, config_from_dict, read_config, write_config
+from .config import TrainConfig, read_config, read_kv, write_config
 from .model import build_model, load_checkpoint, prepare, save_checkpoint
 from .spikes import load_spike_dataset
 from .svgplot import line_plot
@@ -71,43 +71,31 @@ def _write_manifest(out_dir, command, args_echo, config_echo, inputs, outputs, s
     return path
 
 
-def _read_kv(path) -> dict:
-    data = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            data[key] = value
-    return data
+# The keys a simulate config file may set, per kind, with their types.
+_SIM_KEYS = {
+    "hd": {
+        "n_neurons": int, "peak_rate": float, "kappa": float,
+        "step_std_deg": float, "duration": float, "label_rate": float,
+    },
+    "grid": {"arena_cm": float, "speed": float, "peak_rate": float, "duration": float},
+}
 
 
 def cmd_simulate(args) -> int:
     started = time.time()
+    overrides = read_kv(args.config) if args.config else {}
+    types = _SIM_KEYS[args.kind]
+    for key in overrides:
+        if key not in types:
+            raise KeyError(f"unknown {args.kind} simulate key {key!r}")
+    values = {"duration": args.duration}
+    values.update((key, types[key](raw)) for key, raw in overrides.items())
     os.makedirs(args.out, exist_ok=True)
-    overrides = _read_kv(args.config) if args.config else {}
     if args.kind == "hd":
-        cfg = HdSimConfig(
-            n_neurons=int(overrides.get("n_neurons", 30)),
-            peak_rate=float(overrides.get("peak_rate", 20.0)),
-            kappa=float(overrides.get("kappa", 4.0)),
-            step_std_deg=float(overrides.get("step_std_deg", 3.0)),
-            duration=float(overrides.get("duration", args.duration)),
-            label_rate=float(overrides.get("label_rate", 50.0)),
-            seed=args.seed,
-        )
+        cfg = HdSimConfig(seed=args.seed, **values)
         dataset = simulate_hd(cfg)
     else:
-        cfg = GridSimConfig(
-            arena_cm=float(overrides.get("arena_cm", 150.0)),
-            speed=float(overrides.get("speed", 15.0)),
-            peak_rate=float(overrides.get("peak_rate", 20.0)),
-            duration=float(overrides.get("duration", args.duration)),
-            seed=args.seed,
-        )
+        cfg = GridSimConfig(seed=args.seed, **values)
         dataset = simulate_grid(cfg)
     spike_path, label_path = save_spike_dataset(dataset, args.out)
     _write_manifest(
@@ -174,7 +162,7 @@ def cmd_eval(args) -> int:
             f"holds {dataset.kind!r} data"
         )
     os.makedirs(args.out, exist_ok=True)
-    prep = prepare(dataset, cfg, arch=cfg.arch, complex_=getattr(model, "complex", None))
+    prep = prepare(dataset, cfg, arch=cfg.arch, complex_=model.complex)
     report = evaluate(model, prep, split=args.split)
 
     csv_path = os.path.join(args.out, "report.csv")

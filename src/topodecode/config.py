@@ -7,16 +7,21 @@ comment. Keys match the TrainConfig field names; ``split`` is written as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
-__all__ = ["TrainConfig", "read_config", "write_config", "config_from_dict"]
+__all__ = ["TrainConfig", "read_kv", "read_config", "write_config", "config_from_dict"]
 
 
 @dataclass
 class TrainConfig:
+    """Every integer field must be at least 1 unless its metadata sets
+    another ``min``."""
+
     kind: str = "hd"
     arch: str = "scrnn"
-    epochs: int = 50
+    epochs: int = field(default=50, metadata={"min": 0})
     batch_size: int = 32
     learning_rate: float = 0.001
     dropout: float = 0.2
@@ -31,18 +36,16 @@ class TrainConfig:
     n_col: int = 1
     p: float = 0.3
     t_bin: float = 0.1
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
     split: tuple[float, float] = (0.25, 0.75)
 
     def __post_init__(self):
         if isinstance(self.split, list):
             self.split = tuple(self.split)
-        for name in (
-            "epochs", "batch_size", "nn_layers", "hidden_size", "layer_width",
-            "sc_layers", "n_filters", "degree", "k_max", "seq_len", "n_col",
-        ):
-            if getattr(self, name) < (0 if name == "epochs" else 1):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for f in fields(self):
+            value, low = getattr(self, f.name), f.metadata.get("min", 1)
+            if _TYPES[f.name] is int and value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value}")
         if self.learning_rate < 0 or self.t_bin <= 0:
             raise ValueError("learning_rate must be >= 0 and t_bin > 0")
         if not 0.0 <= self.dropout < 1.0:
@@ -53,38 +56,29 @@ class TrainConfig:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
 
     def replace(self, **overrides) -> "TrainConfig":
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        data.update(overrides)
-        return TrainConfig(**data)
+        return dataclasses.replace(self, **overrides)
 
 
-_INT_KEYS = {
-    "epochs", "batch_size", "nn_layers", "hidden_size", "layer_width",
-    "sc_layers", "n_filters", "degree", "k_max", "seq_len", "n_col", "seed",
-}
-_FLOAT_KEYS = {"learning_rate", "dropout", "p", "t_bin"}
-_STR_KEYS = {"kind", "arch"}
+# Field name -> annotated type (int, float, str or the split tuple).
+_TYPES = get_type_hints(TrainConfig)
 
 
 def config_from_dict(data: dict) -> TrainConfig:
     kwargs = {}
     for key, raw in data.items():
-        if key in _INT_KEYS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
-        elif key in _STR_KEYS:
-            kwargs[key] = str(raw)
-        elif key == "split":
+        if key not in _TYPES:
+            raise KeyError(f"unknown config key {key!r}")
+        if key == "split":
             if isinstance(raw, str):
                 raw = raw.split(",")
             kwargs[key] = tuple(float(x) for x in raw)
         else:
-            raise KeyError(f"unknown config key {key!r}")
+            kwargs[key] = _TYPES[key](raw)
     return TrainConfig(**kwargs)
 
 
-def read_config(path) -> TrainConfig:
+def read_kv(path) -> dict:
+    """The ``key = value`` pairs of a text file, values as strings."""
     data = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -95,7 +89,11 @@ def read_config(path) -> TrainConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             data[key] = value
-    return config_from_dict(data)
+    return data
+
+
+def read_config(path) -> TrainConfig:
+    return config_from_dict(read_kv(path))
 
 
 def write_config(cfg: TrainConfig, path) -> None:

@@ -140,11 +140,9 @@ def sc_forward_intermediate(layer: ScLayer, laps, features, activation="relu"):
     return out
 
 
-def sc_forward_final(layer: ScLayer, laps, features, n_col=1, activation="relu"):
-    """Final layer: intermediate dynamics followed by summing the F features
-    per dimension; with n_col > 1 the dimension-0 output is additionally
-    summed across its columns."""
-    feats = sc_forward_intermediate(layer, laps, features, activation)
+def _sum_features(feats, n_col):
+    """Sum the F features per dimension; with n_col > 1 the dimension-0
+    output is additionally summed across its columns."""
     out = {}
     for k in feats[0]:
         acc = feats[0][k]
@@ -156,24 +154,21 @@ def sc_forward_final(layer: ScLayer, laps, features, n_col=1, activation="relu")
     return out
 
 
+def sc_forward_final(layer: ScLayer, laps, features, n_col=1, activation="relu"):
+    """Final layer: intermediate dynamics followed by summing the F features
+    per dimension; with n_col > 1 the dimension-0 output is additionally
+    summed across its columns."""
+    return _sum_features(sc_forward_intermediate(layer, laps, features, activation), n_col)
+
+
 def sc_stack_forward(stack: ScLayerStack, laps, cochains, n_col=1):
-    """Run the full stack: first layer, intermediates, final summation."""
+    """Run the full stack: first layer, intermediates, final summation. A
+    one-layer stack sums the first layer's features."""
     act = stack.activation
-    if stack.n_layers == 1:
-        feats = sc_forward_first(stack.layers[0], laps, cochains, act)
-        out = {}
-        for k in feats[0]:
-            acc = feats[0][k]
-            for feat in feats[1:]:
-                acc = acc + feat[k]
-            if k == 0 and n_col > 1:
-                acc = acc.sum(axis=1, keepdims=True)
-            out[k] = acc
-        return out
     feats = sc_forward_first(stack.layers[0], laps, cochains, act)
-    for layer in stack.layers[1:-1]:
+    for layer in stack.layers[1:]:
         feats = sc_forward_intermediate(layer, laps, feats, act)
-    return sc_forward_final(stack.layers[-1], laps, feats, n_col, act)
+    return _sum_features(feats, n_col)
 
 
 def flatten(outputs: dict[int, np.ndarray]) -> np.ndarray:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from . import complexes
 from .complexes import (
     SimplicialComplex,
     coactivity_matrix,
@@ -37,9 +37,7 @@ __all__ = [
     "ScrnnModel",
     "FfnnModel",
     "RnnModel",
-    "BaselineModel",
     "build_model",
-    "build_baseline",
     "scrnn_predict",
     "encode_angle",
     "decode_angle",
@@ -69,6 +67,9 @@ class PreparedData:
     complex: SimplicialComplex | None = None
     act: dict | None = None
     norm: tuple | None = None
+    # ScrnnModel input terms keyed by filter degree. Left out of __init__ so
+    # that dataclasses.replace starts with an empty cache.
+    terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_bins(self) -> int:
@@ -158,7 +159,9 @@ def prepare(
     if needs_complex:
         if complex_ is None:
             k_max = 1 if arch == "gnn" else cfg.k_max
-            complex_ = build_complex_from_bits(bits.bits, k_max, range(n_test, n_bins))
+            # Looked up on the module at call time, so that a wrapper
+            # installed there sees every build.
+            complex_ = complexes.build_complex(bits.bits, k_max, range(n_test, n_bins))
         elif complex_.n_vertices != counts.shape[0]:
             raise ValueError(
                 f"complex has {complex_.n_vertices} vertices but the dataset has "
@@ -186,12 +189,6 @@ def prepare(
         act=act,
         norm=norm,
     )
-
-
-def build_complex_from_bits(bits, k_max, columns):
-    from .complexes import build_complex
-
-    return build_complex(bits, k_max, columns)
 
 
 def _dropout_mask(rng, shape, rate):
@@ -225,35 +222,70 @@ def _rnn_forward_var(params, n_layers, seq_inputs, training, dropout, rng):
     return ad.add(ad.matmul(params["head.w"], seq_inputs[-1]), params["head.b"])
 
 
-class ScrnnModel:
+def _rnn_params(input_width, cfg, rng) -> dict:
+    """The Elman stack's ``rnn.l*`` and the head's ``head.*`` parameters,
+    drawn from ``rng`` by ``build_rnn_stack``."""
+    stack = build_rnn_stack(input_width, cfg.hidden_size, cfg.nn_layers, 2, rng)
+    params = {}
+    for j, layer in enumerate(stack.layers):
+        params[f"rnn.l{j}.w_h"] = ad.var(layer.w_h)
+        params[f"rnn.l{j}.w_c"] = ad.var(layer.w_c)
+        params[f"rnn.l{j}.b_h"] = ad.var(layer.b_h.reshape(-1, 1))
+        params[f"rnn.l{j}.b_c"] = ad.var(layer.b_c.reshape(-1, 1))
+    params["head.w"] = ad.var(stack.w_out)
+    params["head.b"] = ad.var(stack.b_out.reshape(-1, 1))
+    return params
+
+
+class Decoder:
+    """What every decoder shares: the config it was built with, its named
+    parameters (drawn by ``_init_params`` unless given), the MSE loss of a
+    batch, and a prediction through the graph ``forward``."""
+
+    complex = None
+
+    def __init__(self, input_width, cfg, params=None):
+        self.kind = cfg.kind
+        self.input_width = input_width
+        self.seq_len = cfg.seq_len
+        self.nn_layers = cfg.nn_layers
+        self.dropout = cfg.dropout
+        if params is None:
+            params = self._init_params(cfg, np.random.default_rng(cfg.seed))
+        self.params = params
+
+    def loss_batch(self, prep, starts, training=False, rng=None):
+        pred, targets = self.forward(prep, starts, training, rng)
+        return ad.mse(pred, targets), pred
+
+    def predict(self, prep, starts, chunk=256) -> np.ndarray:
+        """Model outputs for a list of window starts, shape (2, n)."""
+        starts = np.asarray(starts)
+        outputs = []
+        for lo in range(0, len(starts), chunk):
+            pred, _ = self.forward(prep, starts[lo:lo + chunk])
+            outputs.append(pred.value)
+        return np.concatenate(outputs, axis=1)
+
+
+class ScrnnModel(Decoder):
     """Simplicial convolution layers feeding a stacked Elman RNN."""
 
     def __init__(self, complex_, cfg, arch="scrnn", params=None):
         self.arch = arch
-        self.kind = cfg.kind
         self.complex = complex_
         self.sc_layers = cfg.sc_layers
         self.n_filters = cfg.n_filters
         self.degree = cfg.degree
-        self.seq_len = cfg.seq_len
         self.n_col = cfg.n_col
-        self.nn_layers = cfg.nn_layers
-        self.hidden_size = cfg.hidden_size
-        self.dropout = cfg.dropout
-        self.laps = complex_laplacians(complex_)
-        self.laps_float = {
+        # Lower and upper Laplacian half per dimension, as float64.
+        self.laps = {
             k: (lap.lower.astype(np.float64), lap.upper.astype(np.float64))
-            for k, lap in self.laps.items()
+            for k, lap in complex_laplacians(complex_).items()
         }
-        self.params = params if params is not None else self._init_params(cfg)
-        self._term_cache = None
+        super().__init__(complex_.total_simplices, cfg, params)
 
-    @property
-    def input_width(self) -> int:
-        return sum(self.complex.n_simplices(k) for k in range(self.complex.dim + 1))
-
-    def _init_params(self, cfg):
-        rng = np.random.default_rng(cfg.seed)
+    def _init_params(self, cfg, rng):
         params = {}
         top = self.complex.dim
         for li in range(self.sc_layers):
@@ -266,16 +298,7 @@ class ScrnnModel:
                         params[f"{base}.low{i}"] = ad.var(w)
                     for i, w in enumerate(filt.w_upper, start=1):
                         params[f"{base}.up{i}"] = ad.var(w)
-        stack = build_rnn_stack(
-            self.input_width, self.hidden_size, self.nn_layers, 2, rng
-        )
-        for j, layer in enumerate(stack.layers):
-            params[f"rnn.l{j}.w_h"] = ad.var(layer.w_h)
-            params[f"rnn.l{j}.w_c"] = ad.var(layer.w_c)
-            params[f"rnn.l{j}.b_h"] = ad.var(layer.b_h.reshape(-1, 1))
-            params[f"rnn.l{j}.b_c"] = ad.var(layer.b_c.reshape(-1, 1))
-        params["head.w"] = ad.var(stack.w_out)
-        params["head.b"] = ad.var(stack.b_out.reshape(-1, 1))
+        params.update(_rnn_params(self.input_width, cfg, rng))
         return params
 
     def _filter_term_names(self, li, fi, k):
@@ -292,7 +315,7 @@ class ScrnnModel:
     def _apply_filter_var(self, li, fi, k, x):
         base = f"sc.l{li}.f{fi}.k{k}"
         acc = ad.scale(self.params[f"{base}.w0"], x)
-        lower, upper = self.laps_float[k]
+        lower, upper = self.laps[k]
         if k >= 1:
             power = x
             for i in range(1, self.degree + 1):
@@ -308,7 +331,7 @@ class ScrnnModel:
     def _laplacian_powers(self, k, x):
         """``x`` followed by its lower, then its upper Laplacian powers up to
         the filter degree: the filter terms in their fixed order."""
-        lower, upper = self.laps_float[k]
+        lower, upper = self.laps[k]
         out = [x]
         for lap, present in ((lower, k >= 1), (upper, k < self.complex.dim)):
             power = x
@@ -331,10 +354,10 @@ class ScrnnModel:
         the input alone, so the gathered columns equal per-bin products bit
         for bit.
         """
-        if self._term_cache is not None:
-            ref, cached = self._term_cache
-            if ref() is prep:
-                return cached
+        if self.complex != prep.complex:
+            raise ValueError("the model's complex differs from the prepared data's")
+        if self.degree in prep.terms:
+            return prep.terms[self.degree]
         _, first, pattern_of_bin = np.unique(
             prep.bits, axis=1, return_index=True, return_inverse=True
         )
@@ -347,7 +370,7 @@ class ScrnnModel:
                     f"act[{k}] differs between bins with the same binarized column"
                 )
             terms[k] = np.stack(self._laplacian_powers(k, act.astype(np.float64)))
-        self._term_cache = (weakref.ref(prep), (terms, pattern_of_bin))
+        prep.terms[self.degree] = terms, pattern_of_bin
         return terms, pattern_of_bin
 
     def _sc_forward(self, term_slices):
@@ -422,10 +445,6 @@ class ScrnnModel:
             self.params, self.nn_layers, seq_inputs, training, self.dropout, rng
         )
         return pred, targets
-
-    def loss_batch(self, prep, starts, training=False, rng=None):
-        pred, targets = self.forward(prep, starts, training, rng)
-        return ad.mse(pred, targets), pred
 
     def predict(self, prep, starts, chunk=256) -> np.ndarray:
         """Model outputs for a list of window starts, shape (2, n).
@@ -576,31 +595,21 @@ class ScrnnModel:
         )
 
 
-class FfnnModel:
+class FfnnModel(Decoder):
     """Fully-connected baseline on the flattened count window."""
 
     arch = "ffnn"
 
-    def __init__(self, input_width, cfg, params=None):
-        self.kind = cfg.kind
-        self.input_width = input_width
-        self.seq_len = cfg.seq_len
-        self.nn_layers = cfg.nn_layers
-        self.layer_width = cfg.layer_width
-        self.dropout = cfg.dropout
-        self.params = params if params is not None else self._init_params(cfg)
-
-    def _init_params(self, cfg):
-        rng = np.random.default_rng(cfg.seed)
+    def _init_params(self, cfg, rng):
         params = {}
         in_dim = self.input_width
         for j in range(self.nn_layers):
             bound = 1.0 / np.sqrt(in_dim)
             params[f"fc.l{j}.w"] = ad.var(
-                rng.uniform(-bound, bound, (self.layer_width, in_dim))
+                rng.uniform(-bound, bound, (cfg.layer_width, in_dim))
             )
-            params[f"fc.l{j}.b"] = ad.var(np.zeros((self.layer_width, 1)))
-            in_dim = self.layer_width
+            params[f"fc.l{j}.b"] = ad.var(np.zeros((cfg.layer_width, 1)))
+            in_dim = cfg.layer_width
         bound = 1.0 / np.sqrt(in_dim)
         params["head.w"] = ad.var(rng.uniform(-bound, bound, (2, in_dim)))
         params["head.b"] = ad.var(np.zeros((2, 1)))
@@ -627,47 +636,14 @@ class FfnnModel:
         pred = ad.add(ad.matmul(self.params["head.w"], x), self.params["head.b"])
         return pred, targets
 
-    def loss_batch(self, prep, starts, training=False, rng=None):
-        pred, targets = self.forward(prep, starts, training, rng)
-        return ad.mse(pred, targets), pred
 
-    def predict(self, prep, starts, chunk=256) -> np.ndarray:
-        starts = np.asarray(starts)
-        outputs = []
-        for lo in range(0, len(starts), chunk):
-            pred, _ = self.forward(prep, starts[lo:lo + chunk])
-            outputs.append(pred.value)
-        return np.concatenate(outputs, axis=1)
-
-
-class RnnModel:
+class RnnModel(Decoder):
     """Elman baseline on raw per-bin count vectors."""
 
     arch = "rnn"
 
-    def __init__(self, input_width, cfg, params=None):
-        self.kind = cfg.kind
-        self.input_width = input_width
-        self.seq_len = cfg.seq_len
-        self.nn_layers = cfg.nn_layers
-        self.hidden_size = cfg.hidden_size
-        self.dropout = cfg.dropout
-        self.params = params if params is not None else self._init_params(cfg)
-
-    def _init_params(self, cfg):
-        rng = np.random.default_rng(cfg.seed)
-        stack = build_rnn_stack(
-            self.input_width, self.hidden_size, self.nn_layers, 2, rng
-        )
-        params = {}
-        for j, layer in enumerate(stack.layers):
-            params[f"rnn.l{j}.w_h"] = ad.var(layer.w_h)
-            params[f"rnn.l{j}.w_c"] = ad.var(layer.w_c)
-            params[f"rnn.l{j}.b_h"] = ad.var(layer.b_h.reshape(-1, 1))
-            params[f"rnn.l{j}.b_c"] = ad.var(layer.b_c.reshape(-1, 1))
-        params["head.w"] = ad.var(stack.w_out)
-        params["head.b"] = ad.var(stack.b_out.reshape(-1, 1))
-        return params
+    def _init_params(self, cfg, rng):
+        return _rnn_params(self.input_width, cfg, rng)
 
     def forward(self, prep, starts, training=False, rng=None):
         starts = np.asarray(starts)
@@ -680,21 +656,6 @@ class RnnModel:
             self.params, self.nn_layers, seq_inputs, training, self.dropout, rng
         )
         return pred, targets
-
-    def loss_batch(self, prep, starts, training=False, rng=None):
-        pred, targets = self.forward(prep, starts, training, rng)
-        return ad.mse(pred, targets), pred
-
-    def predict(self, prep, starts, chunk=256) -> np.ndarray:
-        starts = np.asarray(starts)
-        outputs = []
-        for lo in range(0, len(starts), chunk):
-            pred, _ = self.forward(prep, starts[lo:lo + chunk])
-            outputs.append(pred.value)
-        return np.concatenate(outputs, axis=1)
-
-
-BaselineModel = FfnnModel | RnnModel | ScrnnModel
 
 
 def build_model(arch: str, prep: PreparedData, cfg):
@@ -710,13 +671,6 @@ def build_model(arch: str, prep: PreparedData, cfg):
     if arch == "rnn":
         return RnnModel(prep.counts.shape[0], cfg)
     raise ValueError(f"unknown architecture {arch!r}")
-
-
-def build_baseline(kind: str, prep: PreparedData, cfg) -> BaselineModel:
-    """Baseline factory: kind in {'ffnn', 'rnn', 'gnn'}."""
-    if kind not in ("ffnn", "rnn", "gnn"):
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    return build_model(kind, prep, cfg)
 
 
 def scrnn_predict(model: ScrnnModel, prep: PreparedData, start: int) -> np.ndarray:
@@ -764,7 +718,7 @@ def _weight_entries(model):
                 layer = int(name.split(".")[1][1:])
                 matrix = name.split(".")[2]
             else:  # head
-                layer = getattr(model, "nn_layers", 0)
+                layer = model.nn_layers
                 matrix = "w_out" if name.endswith("w") else "b_out"
             arr = np.atleast_2d(value)
             if arr.shape[0] == 1 and value.ndim == 1:
@@ -789,7 +743,7 @@ def save_checkpoint(dirpath, model, cfg) -> None:
     from .config import write_config
 
     os.makedirs(dirpath, exist_ok=True)
-    if getattr(model, "complex", None) is not None:
+    if model.complex is not None:
         with open(os.path.join(dirpath, "complex.json"), "w", encoding="utf-8") as fh:
             fh.write(complex_to_json(model.complex))
     sc_entries, dense_entries = _weight_entries(model)

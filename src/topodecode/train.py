@@ -194,7 +194,6 @@ _SEARCH_HD = {
         "learning_rate": [0.001, 0.0001, 0.00001],
         "dropout": [0.2, 0.3, 0.4],
         "nn_layers": [1, 2, 3],
-        "layer_width": [32, 64, 128],
         "hidden_size": [50, 100, 200],
         "degree": [1, 2],
         "sc_layers": [1, 2, 3, 4],
@@ -224,7 +223,6 @@ _SEARCH_GRID = {
         "learning_rate": [0.001, 0.0001, 0.00001],
         "dropout": [0.2, 0.3, 0.4],
         "nn_layers": [1, 2, 3],
-        "layer_width": [32, 64, 128, 256],
         "hidden_size": [50, 100, 200],
         "degree": [1, 2],
         "sc_layers": [1, 2, 3],

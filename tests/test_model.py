@@ -5,13 +5,12 @@ import pytest
 
 from topodecode.complexes import cochain_from_bin
 from topodecode.config import TrainConfig
-from topodecode.filters import flatten, sc_stack_forward
+from topodecode.filters import complex_laplacians, flatten, sc_stack_forward
 from topodecode.model import (
     FfnnModel,
     PreparedData,
     RnnModel,
     ScrnnModel,
-    build_baseline,
     build_model,
     decode_angle,
     decode_angles,
@@ -23,6 +22,7 @@ from topodecode.model import (
 )
 from topodecode.recurrent import rnn_forward
 from topodecode.synth import HdSimConfig, simulate_hd
+from topodecode.train import train
 
 
 def small_hd_prep(arch="scrnn", seed=3, duration=60.0, **cfg_kw):
@@ -58,16 +58,18 @@ class TestDecodeAngle:
 
 
 class TestScrnnForward:
-    def test_matches_plain_operator_path(self):
-        """Batched autodiff forward == per-window composition of the plain
+    @pytest.mark.parametrize("sc_layers", [1, 2, 3])
+    def test_matches_plain_operator_path(self, sc_layers):
+        """Batched forward == per-window composition of the plain
         simplicial-stack and recurrence operators."""
-        prep, cfg = small_hd_prep()
+        prep, cfg = small_hd_prep(sc_layers=sc_layers)
         model = ScrnnModel(prep.complex, cfg)
         starts = prep.train_starts[[0, 3, 11]]
         batched = model.predict(prep, starts)
 
         stack = model.sc_stack()
         rnn = model.rnn_stack()
+        laps = complex_laplacians(prep.complex)
         for col, s in enumerate(starts):
             zs = []
             for t in range(cfg.seq_len):
@@ -75,7 +77,7 @@ class TestScrnnForward:
                     prep.complex, prep.counts, prep.bits, s + t, cfg.n_col
                 )
                 outs = sc_stack_forward(
-                    stack, model.laps, {c.k: c.values for c in chains}, cfg.n_col
+                    stack, laps, {c.k: c.values for c in chains}, cfg.n_col
                 )
                 zs.append(flatten(outs))
             expect = rnn_forward(rnn, zs)
@@ -87,10 +89,11 @@ class TestScrnnForward:
         s = int(prep.train_starts[5])
         got = scrnn_predict(model, prep, s)
         stack, rnn = model.sc_stack(), model.rnn_stack()
+        laps = complex_laplacians(prep.complex)
         zs = []
         for t in range(cfg.seq_len):
             chains = cochain_from_bin(prep.complex, prep.counts, prep.bits, s + t, 3)
-            outs = sc_stack_forward(stack, model.laps, {c.k: c.values for c in chains}, 3)
+            outs = sc_stack_forward(stack, laps, {c.k: c.values for c in chains}, 3)
             zs.append(flatten(outs))
         np.testing.assert_allclose(got, rnn_forward(rnn, zs), rtol=1e-10, atol=1e-12)
 
@@ -132,9 +135,8 @@ class TestScrnnForward:
         got = scrnn_predict(model, prep, s)
         stack, rnn = model.sc_stack(), model.rnn_stack()
         chains = cochain_from_bin(prep.complex, prep.counts, prep.bits, s, 1)
-        z = flatten(
-            sc_stack_forward(stack, model.laps, {c.k: c.values for c in chains}, 1)
-        )
+        laps = complex_laplacians(prep.complex)
+        z = flatten(sc_stack_forward(stack, laps, {c.k: c.values for c in chains}, 1))
         expect = rnn_forward(rnn, [z])
         np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-12)
 
@@ -146,11 +148,10 @@ class TestScrnnForward:
             prep.complex.n_simplices(k) for k in range(prep.complex.dim + 1)
         )
         stack = model.sc_stack()
+        laps = complex_laplacians(prep.complex)
         for s in (prep.train_starts[0], prep.train_starts[-1]):
             chains = cochain_from_bin(prep.complex, prep.counts, prep.bits, int(s), 1)
-            outs = sc_stack_forward(
-                stack, model.laps, {c.k: c.values for c in chains}, 1
-            )
+            outs = sc_stack_forward(stack, laps, {c.k: c.values for c in chains}, 1)
             assert flatten(outs).size == width
 
     def test_window_out_of_range(self):
@@ -200,10 +201,11 @@ class TestGraphFreePredict:
         model = ScrnnModel(prep.complex, cfg)
         terms, pattern_of_bin = model._input_terms(prep)
         top = prep.complex.dim
+        laps = complex_laplacians(prep.complex)
         for k in range(1, top + 1):
             x = prep.act[k].astype(np.float64)
             want = [x]
-            lap = model.laps[k]
+            lap = laps[k]
             for half, present in ((lap.lower, True), (lap.upper, k < top)):
                 power = x
                 for _ in range(cfg.degree if present else 0):
@@ -220,9 +222,20 @@ class TestGraphFreePredict:
         b = int(np.flatnonzero(counts[inverse.reshape(-1)] >= 2)[0])
         act = {k: v.copy() for k, v in prep.act.items()}
         act[1][0, b] = 1 - act[1][0, b]
+        model = ScrnnModel(prep.complex, cfg)
+        model.predict(prep, prep.test_starts[:3])  # fills prep's term cache
         bad = dataclasses.replace(prep, act=act)
         with pytest.raises(ValueError, match=r"act\[1\]"):
-            ScrnnModel(prep.complex, cfg).predict(bad, prep.test_starts[:3])
+            model.predict(bad, prep.test_starts[:3])
+
+    def test_other_complex_rejected(self):
+        prep, cfg = small_hd_prep(seed=3)
+        other, _ = small_hd_prep(seed=4)
+        assert other.complex != prep.complex
+        model = ScrnnModel(prep.complex, cfg)
+        model.predict(prep, prep.test_starts[:3])
+        with pytest.raises(ValueError, match="complex"):
+            ScrnnModel(other.complex, cfg).predict(prep, prep.test_starts[:3])
 
 
 class TestPrepare:
@@ -234,25 +247,42 @@ class TestPrepare:
         with pytest.raises(ValueError, match="12 vertices.*10 neurons"):
             prepare(ten, cfg, complex_=complex_)
 
+    def test_builds_complex_through_its_module(self, monkeypatch):
+        """``prepare`` looks ``build_complex`` up on ``topodecode.complexes``
+        at call time, so a wrapper installed there sees every build."""
+        import topodecode.complexes as complexes
+
+        calls = []
+        original = complexes.build_complex
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(complexes, "build_complex", counting)
+        prep, _ = small_hd_prep()
+        assert len(calls) == 1
+        assert prep.complex == original(*calls[0])
+
 
 class TestBaselines:
     def test_gnn_complex_capped_at_one(self):
         prep, cfg = small_hd_prep(arch="gnn")
-        model = build_baseline("gnn", prep, cfg)
+        model = build_model("gnn", prep, cfg)
         assert model.arch == "gnn"
         assert model.complex.dim <= 1
         assert 2 not in model.complex.simplices
 
     def test_gnn_matches_scrnn_with_k_max_one(self):
         prep, cfg = small_hd_prep(arch="gnn", seed=9)
-        gnn = build_baseline("gnn", prep, cfg)
+        gnn = build_model("gnn", prep, cfg)
         scrnn = ScrnnModel(prep.complex, cfg, arch="scrnn")
         starts = prep.test_starts[:20]
         assert np.array_equal(gnn.predict(prep, starts), scrnn.predict(prep, starts))
 
     def test_ffnn_table_shapes(self):
         prep, cfg = small_hd_prep(arch="ffnn", nn_layers=2, layer_width=128)
-        model = build_baseline("ffnn", prep, cfg)
+        model = build_model("ffnn", prep, cfg)
         n = prep.counts.shape[0]
         assert model.params["fc.l0.w"].value.shape == (128, n * cfg.seq_len)
         assert model.params["fc.l1.w"].value.shape == (128, 128)
@@ -260,7 +290,7 @@ class TestBaselines:
 
     def test_rnn_hidden_size_shapes(self):
         prep, cfg = small_hd_prep(arch="rnn", hidden_size=200, nn_layers=1)
-        model = build_baseline("rnn", prep, cfg)
+        model = build_model("rnn", prep, cfg)
         n = prep.counts.shape[0]
         assert model.params["rnn.l0.w_h"].value.shape == (200, n)
         assert model.params["rnn.l0.w_c"].value.shape == (200, 200)
@@ -268,7 +298,7 @@ class TestBaselines:
     def test_unknown_kind(self):
         prep, cfg = small_hd_prep(arch="ffnn")
         with pytest.raises(ValueError):
-            build_baseline("cnn", prep, cfg)
+            build_model("cnn", prep, cfg)
 
     def test_baseline_predictions_finite(self):
         for arch in ("ffnn", "rnn"):
@@ -294,6 +324,15 @@ class TestCheckpoint:
         np.testing.assert_array_equal(before, after)
         if arch in ("scrnn", "gnn"):
             assert loaded.complex == prep.complex
+
+    def test_loaded_model_reuses_input_terms(self, tmp_path):
+        prep, cfg = small_hd_prep(epochs=1)
+        model, _ = train(build_model("scrnn", prep, cfg), prep, cfg)
+        terms = model._input_terms(prep)
+        save_checkpoint(tmp_path / "ck", model, cfg)
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        assert loaded._input_terms(prep) is terms
+        assert list(prep.terms) == [cfg.degree]
 
     def test_weight_file_schema(self, tmp_path):
         import json
