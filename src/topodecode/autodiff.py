@@ -4,10 +4,14 @@ Every differentiable quantity is wrapped in a :class:`Var`. Operations build
 a graph of parent links plus vector-Jacobian callbacks; :func:`backward`
 walks the graph once in reverse topological order and accumulates gradients
 into ``Var.grad``. Accumulation order is fixed by graph construction order,
-so repeated runs with identical inputs are bitwise reproducible.
+so repeated runs with identical inputs are bitwise reproducible. Inside
+:func:`no_grad` nodes keep no parents, so intermediates are freed as soon as
+the forward is done with them.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,14 +25,15 @@ __all__ = [
     "scale",
     "relu",
     "tanh",
-    "concat_rows",
-    "slice_cols",
-    "sum_col_blocks",
+    "take_cols",
     "lincomb",
     "mul_mask",
     "mse",
     "backward",
+    "no_grad",
 ]
+
+_recording = True
 
 
 class Var:
@@ -39,8 +44,12 @@ class Var:
     def __init__(self, value, parents=(), vjp=None):
         self.value = value
         self.grad = None
-        self._parents = parents
-        self._vjp = vjp
+        if _recording:
+            self._parents = parents
+            self._vjp = vjp
+        else:
+            self._parents = ()
+            self._vjp = None
 
     @property
     def shape(self):
@@ -100,10 +109,9 @@ def matmul(a: Var, b: Var) -> Var:
 def spmm(m, x: Var) -> Var:
     """Constant sparse matrix times a variable dense matrix."""
     out = m @ x.value
-    mt = m.T.tocsr()
 
     def vjp(g):
-        return (mt @ g,)
+        return (m.T @ g,)
 
     return Var(out, (x,), vjp)
 
@@ -136,37 +144,15 @@ def tanh(x: Var) -> Var:
     return Var(out, (x,), vjp)
 
 
-def concat_rows(parts: list[Var]) -> Var:
-    out = np.concatenate([p.value for p in parts], axis=0)
-    sizes = [p.value.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def take_cols(x: Var, idx: np.ndarray) -> Var:
+    """Columns ``idx`` of ``x`` in that order; indices may repeat, and the
+    gradients of repeated columns add up in index order."""
+    out = x.value[:, idx]
 
     def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return Var(out, tuple(parts), vjp)
-
-
-def slice_cols(x: Var, start: int, stop: int) -> Var:
-    out = x.value[:, start:stop]
-
-    def vjp(g):
-        full = np.zeros_like(x.value)
-        full[:, start:stop] = g
-        return (full,)
-
-    return Var(out, (x,), vjp)
-
-
-def sum_col_blocks(x: Var, block: int) -> Var:
-    """Collapse consecutive groups of ``block`` columns into their sum."""
-    rows, cols = x.value.shape
-    if cols % block:
-        raise ValueError(f"column count {cols} not a multiple of block {block}")
-    out = x.value.reshape(rows, cols // block, block).sum(axis=2)
-
-    def vjp(g):
-        return (np.repeat(g, block, axis=1),)
+        rows, cols = x.value.shape
+        flat = (np.arange(rows)[:, None] * cols + idx).reshape(-1)
+        return (np.bincount(flat, g.reshape(-1), rows * cols).reshape(rows, cols),)
 
     return Var(out, (x,), vjp)
 
@@ -230,3 +216,15 @@ def backward(root: Var) -> None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             parent.grad = g if parent.grad is None else parent.grad + g
+
+
+@contextmanager
+def no_grad():
+    """Evaluate without recording: nodes built inside keep no parents and
+    no VJP, so :func:`backward` cannot reach through them."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous

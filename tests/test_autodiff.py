@@ -1,6 +1,7 @@
 """Finite-difference checks for every primitive in the autodiff engine."""
 
 import numpy as np
+import pytest
 from scipy import sparse
 
 from topodecode import autodiff as ad
@@ -54,15 +55,37 @@ def test_activations():
     fd_check(lambda: ad.mse(ad.tanh(x), t), [x])
 
 
-def test_concat_slice_sum_blocks():
+def test_take_cols_repeated_and_permuted():
     rng = np.random.default_rng(3)
-    a = ad.var(rng.normal(size=(2, 6)))
-    b = ad.var(rng.normal(size=(3, 6)))
-    t1 = rng.normal(size=(5, 2))
-    fd_check(lambda: ad.mse(ad.slice_cols(ad.concat_rows([a, b]), 2, 4), t1), [a, b])
-    c = ad.var(rng.normal(size=(3, 6)))
-    t2 = rng.normal(size=(3, 3))
-    fd_check(lambda: ad.mse(ad.sum_col_blocks(c, 2), t2), [c])
+    x = ad.var(rng.normal(size=(3, 5)))
+    idx = np.array([4, 0, 2, 0, 4, 4, 1])  # column 3 unused
+    t = rng.normal(size=(3, 7))
+    assert np.array_equal(ad.take_cols(x, idx).value, x.value[:, idx])
+    fd_check(lambda: ad.mse(ad.take_cols(x, idx), t), [x])
+
+
+def test_no_grad_records_nothing_until_the_block_ends():
+    rng = np.random.default_rng(6)
+    w = ad.var(rng.normal(size=(3, 4)))
+    x = ad.var(rng.normal(size=(4, 2)))
+
+    def build():
+        return ad.tanh(ad.matmul(w, x))
+
+    recorded = build()
+    with ad.no_grad():
+        free = build()
+    assert recorded._parents
+    assert free._parents == () and free._vjp is None
+    assert np.array_equal(free.value, recorded.value)
+
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside the block")
+    loss = ad.mse(build(), np.zeros((3, 2)))
+    assert loss._parents
+    ad.backward(loss)
+    assert w.grad is not None and np.any(w.grad != 0.0)
 
 
 def test_add_n_and_mask():

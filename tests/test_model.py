@@ -184,8 +184,9 @@ class TestGraphFreePredict:
         ],
     )
     def test_matches_graph_forward(self, arch, cfg_kw):
-        """The plain-array predict equals the autodiff graph forward, over
-        more windows than one chunk and over silent bins."""
+        """The chunked predict, evaluated without recording, equals one
+        recorded graph forward and the plain operator oracle, over more
+        windows than one chunk and over silent bins."""
         prep, cfg = small_hd_prep(arch=arch, **cfg_kw)
         model = build_model(arch, prep, cfg)
         starts = np.concatenate([prep.test_starts, prep.train_starts])
@@ -193,8 +194,21 @@ class TestGraphFreePredict:
         bins = (starts[:, None] + np.arange(cfg.seq_len)).reshape(-1)
         assert not prep.bits[:, bins].any(axis=0).all()
         got = model.predict(prep, starts)
-        want = model.forward(prep, starts)[0].value
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        recorded = model.forward(prep, starts)[0]
+        assert recorded._parents
+        np.testing.assert_allclose(got, recorded.value, rtol=1e-10, atol=1e-12)
+
+        stack, rnn = model.sc_stack(), model.rnn_stack()
+        laps = complex_laplacians(prep.complex)
+        sc_out = {}
+        for b in np.unique(bins):
+            chains = cochain_from_bin(prep.complex, prep.counts, prep.bits, b, cfg.n_col)
+            outs = sc_stack_forward(stack, laps, {c.k: c.values for c in chains}, cfg.n_col)
+            sc_out[b] = flatten(outs)
+        oracle = np.column_stack(
+            [rnn_forward(rnn, [sc_out[s + t] for t in range(cfg.seq_len)]) for s in starts]
+        )
+        np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-12)
 
     def test_pattern_terms_equal_per_bin_powers(self):
         prep, cfg = small_hd_prep(degree=2)
@@ -322,6 +336,9 @@ class TestCheckpoint:
         assert cfg_back == cfg
         after = loaded.predict(prep, starts)
         np.testing.assert_array_equal(before, after)
+        save_checkpoint(tmp_path / "again", loaded, cfg_back)
+        weights = (out / "weights.json").read_bytes()
+        assert (tmp_path / "again" / "weights.json").read_bytes() == weights
         if arch in ("scrnn", "gnn"):
             assert loaded.complex == prep.complex
 

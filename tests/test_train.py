@@ -87,8 +87,15 @@ class TestBackward:
         expect = np.mean(2.0 * (0.8 * x - t) * x)
         np.testing.assert_allclose(w.grad, expect, rtol=1e-12)
 
-    def test_scrnn_gradients_match_finite_differences(self):
-        prep, cfg = tiny_prep_and_cfg()
+    @pytest.mark.parametrize(
+        "cfg_kw",
+        [dict(), dict(n_col=2), dict(sc_layers=3, n_filters=3, degree=2)],
+        ids=["default", "n_col2", "summed_filters"],
+    )
+    def test_scrnn_gradients_match_finite_differences(self, cfg_kw):
+        """Covers the backward through the first layer's column gather
+        (``n_col``) and through the filter-summed weights of deeper layers."""
+        prep, cfg = tiny_prep_and_cfg(**cfg_kw)
         model = build_model("scrnn", prep, cfg)
         starts = prep.train_starts[:6]
         _, grads = backward(model, prep, starts)
