@@ -21,11 +21,10 @@ __all__ = [
     "Simplex",
     "SimplicialComplex",
     "HodgeLaplacian",
-    "Cochain",
     "build_complex",
     "incidence_matrix",
     "hodge_laplacian",
-    "cochain_from_bin",
+    "complex_laplacians",
     "coactivity_matrix",
     "complex_to_json",
     "complex_from_json",
@@ -183,12 +182,12 @@ def incidence_matrix(S: SimplicialComplex, k: int) -> sparse.csc_matrix:
 
 @dataclass
 class HodgeLaplacian:
-    """Lower and upper halves plus their sum, all sparse symmetric integer."""
+    """Lower and upper halves of the Laplacian at dimension k, each sparse
+    symmetric integer; the Laplacian is their sum."""
 
     k: int
     lower: sparse.csr_matrix
     upper: sparse.csr_matrix
-    full: sparse.csr_matrix
 
 
 def hodge_laplacian(S: SimplicialComplex, k: int) -> HodgeLaplacian:
@@ -209,15 +208,12 @@ def hodge_laplacian(S: SimplicialComplex, k: int) -> HodgeLaplacian:
         upper = (b_up @ b_up.T).tocsr()
     else:
         upper = sparse.csr_matrix((n_k, n_k), dtype=np.int64)
-    return HodgeLaplacian(k=k, lower=lower, upper=upper, full=(lower + upper).tocsr())
+    return HodgeLaplacian(k=k, lower=lower, upper=upper)
 
 
-@dataclass
-class Cochain:
-    """Feature matrix over the k-simplices of one time bin (N_k x f)."""
-
-    k: int
-    values: np.ndarray
+def complex_laplacians(S: SimplicialComplex) -> dict[int, HodgeLaplacian]:
+    """All Hodge Laplacians of a complex, keyed by dimension."""
+    return {k: hodge_laplacian(S, k) for k in range(S.dim + 1)}
 
 
 def vertex_membership(S: SimplicialComplex, k: int) -> sparse.csr_matrix:
@@ -239,29 +235,6 @@ def coactivity_matrix(S: SimplicialComplex, bits: np.ndarray, k: int) -> np.ndar
     """Per-bin indicator (N_k x N_b): 1 where all simplex vertices are active."""
     membership = vertex_membership(S, k)
     return (membership @ bits == (k + 1)).astype(np.int8)
-
-
-def cochain_from_bin(S, count_matrix, bin_matrix, j: int, n_col: int) -> list[Cochain]:
-    """Initial per-dimension features for the window anchored at bin j.
-
-    Dimension 0 carries the raw spike counts of columns ``j .. j+n_col-1``;
-    higher dimensions carry a binary co-activity indicator evaluated on
-    column j of the binarized matrix.
-    """
-    counts = np.asarray(getattr(count_matrix, "counts", count_matrix))
-    bits = np.asarray(getattr(bin_matrix, "bits", bin_matrix))
-    n_bins = counts.shape[1]
-    if n_col < 1:
-        raise ValueError("n_col must be >= 1")
-    if j < 0 or j + n_col > n_bins:
-        raise ValueError(f"bin range [{j}, {j + n_col}) outside of {n_bins} bins")
-    out = [Cochain(k=0, values=counts[:, j:j + n_col].astype(np.float64))]
-    column = bits[:, j]
-    for k in range(1, S.dim + 1):
-        membership = vertex_membership(S, k)
-        indicator = (membership @ column == (k + 1)).astype(np.float64)
-        out.append(Cochain(k=k, values=indicator.reshape(-1, 1)))
-    return out
 
 
 def complex_to_json(S: SimplicialComplex) -> str:

@@ -1,14 +1,12 @@
 """Decoder models: the simplicial-convolutional recurrent network and the
 feedforward / recurrent / graph baselines, behind one predict interface.
 
-All models are parameterized by named ``autodiff.Var`` leaves so a single
-reverse pass yields every gradient. Each model has one graph forward: it
-serves training, and prediction evaluates it under ``autodiff.no_grad``.
-The SCRNN's k >= 1 inputs depend only on a bin's binarized column, so its
-forward filters each distinct activity pattern of a batch once.
-Plain-array views of the simplicial stack and the recurrent stack are
-exposed for inspection and serve as an independent forward oracle in the
-tests.
+All models are parameterized by named ``autodiff.Var`` leaves, drawn from
+the config's seed by the model itself, so a single reverse pass yields every
+gradient. Each model has one graph forward: it serves training, and
+prediction evaluates it under ``autodiff.no_grad``. The SCRNN's k >= 1
+inputs depend only on a bin's binarized column, so its forward filters each
+distinct activity pattern of a batch once.
 """
 
 from __future__ import annotations
@@ -26,10 +24,9 @@ from .complexes import (
     SimplicialComplex,
     coactivity_matrix,
     complex_from_json,
+    complex_laplacians,
     complex_to_json,
 )
-from .filters import ScLayer, ScLayerStack, SimplicialFilter, _init_filter, complex_laplacians
-from .recurrent import ElmanLayer, RnnStack, build_rnn_stack
 from .spikes import SpikeDataset, bin_labels, bin_spikes, binarize_rows
 
 __all__ = [
@@ -192,6 +189,15 @@ def prepare(
     )
 
 
+def _check_neurons(n_model, prep):
+    """Reject data whose neuron count differs from the model's."""
+    if prep.counts.shape[0] != n_model:
+        raise ValueError(
+            f"model was built on {n_model} neurons but the data has "
+            f"{prep.counts.shape[0]}"
+        )
+
+
 def _dropout_mask(rng, shape, rate):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
@@ -225,16 +231,20 @@ def _rnn_forward_var(params, n_layers, seq_inputs, training, dropout, rng):
 
 def _rnn_params(input_width, cfg, rng) -> dict:
     """The Elman stack's ``rnn.l*`` and the head's ``head.*`` parameters,
-    drawn from ``rng`` by ``build_rnn_stack``."""
-    stack = build_rnn_stack(input_width, cfg.hidden_size, cfg.nn_layers, 2, rng)
+    uniform within +-1/sqrt(fan-in) per matrix and +-1/sqrt(H) per bias."""
+    hidden = cfg.hidden_size
+    bound_h = 1.0 / np.sqrt(hidden)
     params = {}
-    for j, layer in enumerate(stack.layers):
-        params[f"rnn.l{j}.w_h"] = ad.var(layer.w_h)
-        params[f"rnn.l{j}.w_c"] = ad.var(layer.w_c)
-        params[f"rnn.l{j}.b_h"] = ad.var(layer.b_h.reshape(-1, 1))
-        params[f"rnn.l{j}.b_c"] = ad.var(layer.b_c.reshape(-1, 1))
-    params["head.w"] = ad.var(stack.w_out)
-    params["head.b"] = ad.var(stack.b_out.reshape(-1, 1))
+    in_dim = input_width
+    for j in range(cfg.nn_layers):
+        bound_in = 1.0 / np.sqrt(in_dim)
+        params[f"rnn.l{j}.w_h"] = ad.var(rng.uniform(-bound_in, bound_in, (hidden, in_dim)))
+        params[f"rnn.l{j}.w_c"] = ad.var(rng.uniform(-bound_h, bound_h, (hidden, hidden)))
+        params[f"rnn.l{j}.b_h"] = ad.var(rng.uniform(-bound_h, bound_h, (hidden, 1)))
+        params[f"rnn.l{j}.b_c"] = ad.var(rng.uniform(-bound_h, bound_h, (hidden, 1)))
+        in_dim = hidden
+    params["head.w"] = ad.var(rng.uniform(-bound_h, bound_h, (2, hidden)))
+    params["head.b"] = ad.var(rng.uniform(-bound_h, bound_h, (2, 1)))
     return params
 
 
@@ -289,23 +299,21 @@ class ScrnnModel(Decoder):
         super().__init__(complex_.total_simplices, cfg, params)
 
     def _init_params(self, cfg, rng):
+        """Each filter's weights uniform within +-1/sqrt(its term count),
+        then the recurrent stack's."""
         params = {}
-        top = self.complex.dim
         for li in range(self.sc_layers):
             for fi in range(self.n_filters):
-                for k in range(top + 1):
-                    filt = _init_filter(k, top, self.degree, rng)
-                    base = f"sc.l{li}.f{fi}.k{k}"
-                    params[f"{base}.w0"] = ad.var(filt.w0)
-                    for i, w in enumerate(filt.w_lower, start=1):
-                        params[f"{base}.low{i}"] = ad.var(w)
-                    for i, w in enumerate(filt.w_upper, start=1):
-                        params[f"{base}.up{i}"] = ad.var(w)
+                for k in range(self.complex.dim + 1):
+                    names = self._filter_names(li, fi, k)
+                    bound = 1.0 / np.sqrt(len(names))
+                    draw = rng.uniform(-bound, bound, size=len(names))
+                    params.update(zip(names, map(ad.var, draw)))
         params.update(_rnn_params(self.input_width, cfg, rng))
         return params
 
-    def _filter_weights(self, li, fi, k):
-        """Weight Vars in the fixed term order: identity, lower powers,
+    def _filter_names(self, li, fi, k):
+        """Weight names in the fixed term order: identity, lower powers,
         upper powers (boundary dimensions omit the absent half)."""
         base = f"sc.l{li}.f{fi}.k{k}"
         names = [f"{base}.w0"]
@@ -313,7 +321,10 @@ class ScrnnModel(Decoder):
             names += [f"{base}.low{i}" for i in range(1, self.degree + 1)]
         if k < self.complex.dim:
             names += [f"{base}.up{i}" for i in range(1, self.degree + 1)]
-        return [self.params[name] for name in names]
+        return names
+
+    def _filter_weights(self, li, fi, k):
+        return [self.params[name] for name in self._filter_names(li, fi, k)]
 
     def _laplacian_powers(self, k, x, product):
         """``x`` followed by its lower, then its upper Laplacian powers up to
@@ -470,44 +481,6 @@ class ScrnnModel(Decoder):
     # (perfbench/tracing.py) look ``ScrnnModel.predict`` up there.
     predict = Decoder.predict
 
-    def sc_stack(self) -> ScLayerStack:
-        """Plain-array view of the simplicial filters."""
-        n_low = {k: self.degree if k >= 1 else 0 for k in range(self.complex.dim + 1)}
-        layers = []
-        for li in range(self.sc_layers):
-            filters = []
-            for fi in range(self.n_filters):
-                per_dim = {}
-                for k, low in n_low.items():
-                    w = [float(v.value) for v in self._filter_weights(li, fi, k)]
-                    per_dim[k] = SimplicialFilter(
-                        k=k,
-                        degree=self.degree,
-                        w0=w[0],
-                        w_lower=np.array(w[1:low + 1]),
-                        w_upper=np.array(w[low + 1:]),
-                    )
-                filters.append(per_dim)
-            layers.append(ScLayer(filters=filters))
-        return ScLayerStack(layers=layers, activation="relu")
-
-    def rnn_stack(self) -> RnnStack:
-        """Plain-array view of the recurrent stack."""
-        layers = [
-            ElmanLayer(
-                w_h=self.params[f"rnn.l{j}.w_h"].value,
-                w_c=self.params[f"rnn.l{j}.w_c"].value,
-                b_h=self.params[f"rnn.l{j}.b_h"].value.reshape(-1),
-                b_c=self.params[f"rnn.l{j}.b_c"].value.reshape(-1),
-            )
-            for j in range(self.nn_layers)
-        ]
-        return RnnStack(
-            layers=layers,
-            w_out=self.params["head.w"].value,
-            b_out=self.params["head.b"].value.reshape(-1),
-        )
-
 
 class FfnnModel(Decoder):
     """Fully-connected baseline on the flattened count window."""
@@ -530,6 +503,7 @@ class FfnnModel(Decoder):
         return params
 
     def _batch_inputs(self, prep, starts):
+        _check_neurons(self.input_width // self.seq_len, prep)
         starts = np.asarray(starts)
         cols = (starts[:, None] + np.arange(self.seq_len)[None, :]).reshape(-1)
         window = prep.counts[:, cols].astype(np.float64)
@@ -560,6 +534,7 @@ class RnnModel(Decoder):
         return _rnn_params(self.input_width, cfg, rng)
 
     def forward(self, prep, starts, training=False, rng=None):
+        _check_neurons(self.input_width, prep)
         starts = np.asarray(starts)
         w_h = self.params["rnn.l0.w_h"]
         seq_inputs = [
@@ -635,10 +610,7 @@ def _weight_entries(model):
             else:  # head
                 layer = model.nn_layers
                 matrix = "w_out" if name.endswith("w") else "b_out"
-            arr = np.atleast_2d(value)
-            if arr.shape[0] == 1 and value.ndim == 1:
-                arr = arr.T
-            rows, cols = arr.shape
+            rows, cols = value.shape
             for r in range(rows):
                 for c in range(cols):
                     dense_entries.append(
@@ -647,7 +619,7 @@ def _weight_entries(model):
                             "matrix": matrix,
                             "row": r,
                             "col": c,
-                            "value": float(arr[r, c]),
+                            "value": float(value[r, c]),
                         }
                     )
     return sc_entries, dense_entries
@@ -669,19 +641,24 @@ def save_checkpoint(dirpath, model, cfg) -> None:
 
 
 def _dense_params_from_entries(entries):
-    grouped: dict[tuple, dict] = {}
+    """Dense parameters by name, one numpy scatter per matrix."""
+    grouped: dict[tuple, list] = {}
     for e in entries:
-        key = (e["layer"], e["matrix"])
-        grouped.setdefault(key, {})[(e["row"], e["col"])] = e["value"]
-    arrays = {}
-    for (layer, matrix), cells in grouped.items():
-        rows = max(r for r, _ in cells) + 1
-        cols = max(c for _, c in cells) + 1
-        arr = np.zeros((rows, cols))
-        for (r, c), v in cells.items():
-            arr[r, c] = v
-        arrays[(layer, matrix)] = arr
-    return arrays
+        grouped.setdefault((e["layer"], e["matrix"]), []).append(e)
+    params = {}
+    for (layer, matrix), cells in sorted(grouped.items()):
+        rows, cols, values = (
+            np.fromiter((e[key] for e in cells), dtype, len(cells))
+            for key, dtype in (("row", np.int64), ("col", np.int64), ("value", np.float64))
+        )
+        arr = np.zeros((rows.max() + 1, cols.max() + 1))
+        arr[rows, cols] = values
+        if matrix in ("w_out", "b_out"):
+            name = "head.w" if matrix == "w_out" else "head.b"
+        else:
+            name = f"{'fc' if matrix in ('w', 'b') else 'rnn'}.l{layer}.{matrix}"
+        params[name] = ad.var(arr)
+    return params
 
 
 def load_checkpoint(dirpath):
@@ -692,34 +669,21 @@ def load_checkpoint(dirpath):
     with open(os.path.join(dirpath, "weights.json"), "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     arch = payload["arch"]
-    dense = _dense_params_from_entries(payload["dense"])
-
-    params = {}
-    for e in payload["sc"]:
-        name = f"sc.l{e['layer'] - 1}.f{e['filter'] - 1}.k{e['dim']}.{e['term']}"
-        params[name] = ad.var(e["value"])
-    head_layer = None
-    for (layer, matrix), arr in sorted(dense.items()):
-        if matrix in ("w_out", "b_out"):
-            head_layer = layer
-            params["head.w" if matrix == "w_out" else "head.b"] = ad.var(arr)
-        elif matrix in ("w", "b"):
-            params[f"fc.l{layer}.{matrix}"] = ad.var(arr)
-        else:
-            params[f"rnn.l{layer}.{matrix}"] = ad.var(arr)
+    if arch not in ARCHS:
+        raise ValueError(f"unknown architecture {arch!r} in checkpoint")
+    params = {
+        f"sc.l{e['layer'] - 1}.f{e['filter'] - 1}.k{e['dim']}.{e['term']}": ad.var(e["value"])
+        for e in payload["sc"]
+    }
+    params.update(_dense_params_from_entries(payload["dense"]))
+    first = "fc.l0.w" if arch == "ffnn" else "rnn.l0.w_h"
+    for name in ("head.w", "head.b", first):
+        if name not in params:
+            raise ValueError(f"checkpoint has no {name} matrix")
 
     if arch in ("scrnn", "gnn"):
         with open(os.path.join(dirpath, "complex.json"), "r", encoding="utf-8") as fh:
             complex_ = complex_from_json(fh.read())
-        model = ScrnnModel(complex_, cfg, arch=arch, params=params)
-    elif arch == "ffnn":
-        input_width = dense[(0, "w")].shape[1]
-        model = FfnnModel(input_width, cfg, params=params)
-    elif arch == "rnn":
-        input_width = dense[(0, "w_h")].shape[1]
-        model = RnnModel(input_width, cfg, params=params)
-    else:
-        raise ValueError(f"unknown architecture {arch!r} in checkpoint")
-    if head_layer is None:
-        raise ValueError("checkpoint missing output head weights")
-    return model, cfg
+        return ScrnnModel(complex_, cfg, arch=arch, params=params), cfg
+    model_cls = FfnnModel if arch == "ffnn" else RnnModel
+    return model_cls(params[first].value.shape[1], cfg, params=params), cfg

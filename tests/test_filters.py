@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from topodecode.complexes import build_complex, hodge_laplacian
-from topodecode.filters import (
+from oracle import (
     ScLayer,
-    ScLayerStack,
     SimplicialFilter,
     apply_filter,
-    build_sc_stack,
-    count_weights,
     flatten,
     param_count,
     sc_forward_final,
     sc_forward_first,
     sc_forward_intermediate,
-    sc_stack_forward,
+    sc_stack,
 )
+from topodecode.complexes import build_complex, hodge_laplacian
+from topodecode.config import TrainConfig
+from topodecode.model import ScrnnModel
 
 
 def const_filter(k, top, w0=0.0, lower=0.0, upper=0.0, degree=1):
@@ -26,6 +25,14 @@ def const_filter(k, top, w0=0.0, lower=0.0, upper=0.0, degree=1):
         w_lower=np.full(0 if k == 0 else degree, lower, dtype=np.float64),
         w_upper=np.full(0 if k == top else degree, upper, dtype=np.float64),
     )
+
+
+def simplex_model(K, F=1, D=1, L=1, seed=0):
+    """An SCRNN with seeded random filters on the full simplex over K+1
+    vertices, whose top dimension is K."""
+    S = build_complex(np.ones((K + 1, 1), dtype=np.int8), K)
+    cfg = TrainConfig(sc_layers=L, n_filters=F, degree=D, hidden_size=2, seed=seed)
+    return ScrnnModel(S, cfg)
 
 
 def identity_layer(top, n_filters=1):
@@ -109,7 +116,7 @@ class TestApplyFilter:
 class TestLayerDynamics:
     def test_first_layer_zero_input(self, triangle_laps):
         layer = identity_layer(2, n_filters=3)
-        chains = {k: np.zeros((triangle_laps[k].full.shape[0], 1)) for k in range(3)}
+        chains = {k: np.zeros((triangle_laps[k].lower.shape[0], 1)) for k in range(3)}
         feats = sc_forward_first(layer, triangle_laps, chains)
         assert len(feats) == 3
         assert all(not np.any(f[k]) for f in feats for k in f)
@@ -127,13 +134,13 @@ class TestLayerDynamics:
 
     def test_two_filters_two_outputs(self, triangle_laps):
         layer = identity_layer(2, n_filters=2)
-        chains = {k: np.ones((triangle_laps[k].full.shape[0], 1)) for k in range(3)}
+        chains = {k: np.ones((triangle_laps[k].lower.shape[0], 1)) for k in range(3)}
         feats = sc_forward_first(layer, triangle_laps, chains)
         assert len(feats) == 2
 
     def test_intermediate_single_filter_degenerate(self, triangle_laps):
         layer = identity_layer(2)
-        feats = [{k: np.ones((triangle_laps[k].full.shape[0], 1)) for k in range(3)}]
+        feats = [{k: np.ones((triangle_laps[k].lower.shape[0], 1)) for k in range(3)}]
         out = sc_forward_intermediate(layer, triangle_laps, feats, "identity")
         assert len(out) == 1
         for k in range(3):
@@ -142,7 +149,7 @@ class TestLayerDynamics:
     def test_intermediate_zero_features(self, triangle_laps):
         layer = identity_layer(2, n_filters=2)
         feats = [
-            {k: np.zeros((triangle_laps[k].full.shape[0], 1)) for k in range(3)}
+            {k: np.zeros((triangle_laps[k].lower.shape[0], 1)) for k in range(3)}
             for _ in range(2)
         ]
         out = sc_forward_intermediate(layer, triangle_laps, feats)
@@ -152,7 +159,7 @@ class TestLayerDynamics:
         # two identity filters applied to the same feature and summed
         layer = identity_layer(2, n_filters=2)
         feats = [
-            {k: np.full((triangle_laps[k].full.shape[0], 1), float(g + 1))
+            {k: np.full((triangle_laps[k].lower.shape[0], 1), float(g + 1))
              for k in range(3)}
             for g in range(2)
         ]
@@ -163,7 +170,7 @@ class TestLayerDynamics:
 
     def test_final_single_filter(self, triangle_laps):
         layer = identity_layer(2)
-        feats = [{k: np.ones((triangle_laps[k].full.shape[0], 1)) for k in range(3)}]
+        feats = [{k: np.ones((triangle_laps[k].lower.shape[0], 1)) for k in range(3)}]
         out = sc_forward_final(layer, triangle_laps, feats, activation="identity")
         for k in range(3):
             np.testing.assert_array_equal(out[k], feats[0][k])
@@ -183,7 +190,7 @@ class TestLayerDynamics:
     def test_final_zero(self, triangle_laps):
         layer = identity_layer(2, n_filters=2)
         feats = [
-            {k: np.zeros((triangle_laps[k].full.shape[0], 1)) for k in range(3)}
+            {k: np.zeros((triangle_laps[k].lower.shape[0], 1)) for k in range(3)}
             for _ in range(2)
         ]
         out = sc_forward_final(layer, triangle_laps, feats)
@@ -191,9 +198,9 @@ class TestLayerDynamics:
 
     def test_every_layer_emits_f_features(self, triangle_laps):
         for n_filters in (1, 2, 3):
-            stack = build_sc_stack(n_filters, 1, 2, 3, np.random.default_rng(0))
+            stack = sc_stack(simplex_model(2, F=n_filters, L=3))
             chains = {
-                k: np.ones((triangle_laps[k].full.shape[0], 1)) for k in range(3)
+                k: np.ones((triangle_laps[k].lower.shape[0], 1)) for k in range(3)
             }
             feats = sc_forward_first(stack.layers[0], triangle_laps, chains)
             assert len(feats) == n_filters
@@ -223,22 +230,21 @@ class TestParamCount:
         assert param_count(3, 2, 2, 1) == 33
 
     def test_matches_enumeration_everywhere(self):
-        rng = np.random.default_rng(0)
         for F in (1, 2, 3):
             for D in (1, 2):
                 for K in (1, 2, 3):
                     for L in (1, 2, 3):
-                        stack = build_sc_stack(F, D, K, L, rng)
-                        assert count_weights(stack) == param_count(F, D, K, L)
+                        model = simplex_model(K, F, D, L)
+                        n_sc = sum(name.startswith("sc.") for name in model.params)
+                        assert n_sc == param_count(F, D, K, L)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             param_count(0, 1, 1, 1)
 
     def test_boundary_dimensions_have_d_plus_one(self):
-        stack = build_sc_stack(1, 2, 3, 1, np.random.default_rng(1))
-        filters = stack.layers[0].filters[0]
-        assert filters[0].n_weights() == 3
-        assert filters[3].n_weights() == 3
-        assert filters[1].n_weights() == 5
-        assert filters[2].n_weights() == 5
+        params = simplex_model(3, D=2, seed=1).params
+        n_weights = [
+            sum(name.startswith(f"sc.l0.f0.k{k}.") for name in params) for k in range(4)
+        ]
+        assert n_weights == [3, 5, 5, 3]

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from topodecode.complexes import cochain_from_bin
+from oracle import cochain_from_bin, flatten, rnn_forward, rnn_stack, sc_stack, sc_stack_forward
+from topodecode.complexes import complex_laplacians
 from topodecode.config import TrainConfig
-from topodecode.filters import complex_laplacians, flatten, sc_stack_forward
 from topodecode.model import (
     FfnnModel,
     PreparedData,
@@ -20,7 +21,6 @@ from topodecode.model import (
     save_checkpoint,
     scrnn_predict,
 )
-from topodecode.recurrent import rnn_forward
 from topodecode.synth import HdSimConfig, simulate_hd
 from topodecode.train import train
 
@@ -67,8 +67,8 @@ class TestScrnnForward:
         starts = prep.train_starts[[0, 3, 11]]
         batched = model.predict(prep, starts)
 
-        stack = model.sc_stack()
-        rnn = model.rnn_stack()
+        stack = sc_stack(model)
+        rnn = rnn_stack(model)
         laps = complex_laplacians(prep.complex)
         for col, s in enumerate(starts):
             zs = []
@@ -88,7 +88,7 @@ class TestScrnnForward:
         model = ScrnnModel(prep.complex, cfg)
         s = int(prep.train_starts[5])
         got = scrnn_predict(model, prep, s)
-        stack, rnn = model.sc_stack(), model.rnn_stack()
+        stack, rnn = sc_stack(model), rnn_stack(model)
         laps = complex_laplacians(prep.complex)
         zs = []
         for t in range(cfg.seq_len):
@@ -133,7 +133,7 @@ class TestScrnnForward:
         model = ScrnnModel(prep.complex, cfg)
         s = int(prep.train_starts[2])
         got = scrnn_predict(model, prep, s)
-        stack, rnn = model.sc_stack(), model.rnn_stack()
+        stack, rnn = sc_stack(model), rnn_stack(model)
         chains = cochain_from_bin(prep.complex, prep.counts, prep.bits, s, 1)
         laps = complex_laplacians(prep.complex)
         z = flatten(sc_stack_forward(stack, laps, {c.k: c.values for c in chains}, 1))
@@ -147,7 +147,7 @@ class TestScrnnForward:
         assert width == sum(
             prep.complex.n_simplices(k) for k in range(prep.complex.dim + 1)
         )
-        stack = model.sc_stack()
+        stack = sc_stack(model)
         laps = complex_laplacians(prep.complex)
         for s in (prep.train_starts[0], prep.train_starts[-1]):
             chains = cochain_from_bin(prep.complex, prep.counts, prep.bits, int(s), 1)
@@ -198,7 +198,7 @@ class TestGraphFreePredict:
         assert recorded._parents
         np.testing.assert_allclose(got, recorded.value, rtol=1e-10, atol=1e-12)
 
-        stack, rnn = model.sc_stack(), model.rnn_stack()
+        stack, rnn = sc_stack(model), rnn_stack(model)
         laps = complex_laplacians(prep.complex)
         sc_out = {}
         for b in np.unique(bins):
@@ -250,6 +250,16 @@ class TestGraphFreePredict:
         model.predict(prep, prep.test_starts[:3])
         with pytest.raises(ValueError, match="complex"):
             ScrnnModel(other.complex, cfg).predict(prep, prep.test_starts[:3])
+
+    @pytest.mark.parametrize("arch", ["ffnn", "rnn"])
+    def test_other_neuron_count_rejected(self, arch):
+        cfg = TrainConfig(kind="hd", arch=arch, seq_len=5, seed=3)
+        twelve = simulate_hd(HdSimConfig(n_neurons=12, duration=60.0, seed=3))
+        ten = simulate_hd(HdSimConfig(n_neurons=10, duration=60.0, seed=3))
+        model = build_model(arch, prepare(twelve, cfg, arch=arch), cfg)
+        prep = prepare(ten, cfg, arch=arch)
+        with pytest.raises(ValueError, match="12 neurons.*has 10"):
+            model.predict(prep, prep.test_starts[:3])
 
 
 class TestPrepare:
@@ -350,6 +360,22 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(tmp_path / "ck")
         assert loaded._input_terms(prep) is terms
         assert list(prep.terms) == [cfg.degree]
+
+    @pytest.mark.parametrize("arch, layer, matrix, name", [
+        ("ffnn", 0, "w", "fc.l0.w"), ("rnn", 0, "w_h", "rnn.l0.w_h"),
+        ("scrnn", 2, "w_out", "head.w"),
+    ])
+    def test_missing_matrix_named(self, tmp_path, arch, layer, matrix, name):
+        prep, cfg = small_hd_prep(arch=arch)
+        save_checkpoint(tmp_path, build_model(arch, prep, cfg), cfg)
+        path = tmp_path / "weights.json"
+        payload = json.loads(path.read_text())
+        payload["dense"] = [
+            e for e in payload["dense"] if (e["layer"], e["matrix"]) != (layer, matrix)
+        ]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"no {name} matrix"):
+            load_checkpoint(tmp_path)
 
     def test_weight_file_schema(self, tmp_path):
         import json

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from topodecode.recurrent import ElmanLayer, RnnStack, build_rnn_stack, cell_step, rnn_forward
+from oracle import ElmanLayer, RnnStack, cell_step, rnn_forward, rnn_stack
+from topodecode import autodiff as ad
+from topodecode.config import TrainConfig
+from topodecode.model import PreparedData, RnnModel
+
+
+def random_stack(input_size, hidden, n_layers, seed=0):
+    """The seeded Elman stack of an RNN decoder, as plain arrays."""
+    cfg = TrainConfig(arch="rnn", hidden_size=hidden, nn_layers=n_layers, seed=seed)
+    return rnn_stack(RnnModel(input_size, cfg))
 
 
 def zero_layer(input_size, hidden, activation="tanh"):
@@ -52,8 +61,7 @@ class TestCellStep:
 
 class TestForward:
     def test_length_one_equals_cell_plus_head(self):
-        rng = np.random.default_rng(0)
-        stack = build_rnn_stack(4, 3, 1, 2, rng)
+        stack = random_stack(4, 3, 1)
         z = np.array([0.5, -1.0, 0.25, 2.0])
         y = rnn_forward(stack, [z])
         h = cell_step(stack.layers[0], z, np.zeros(3))
@@ -69,24 +77,24 @@ class TestForward:
         np.testing.assert_array_equal(y, np.zeros(2))
 
     def test_sequence_length_five(self):
-        stack = build_rnn_stack(6, 5, 2, 2, np.random.default_rng(3))
+        stack = random_stack(6, 5, 2, seed=3)
         y = rnn_forward(stack, [np.random.default_rng(t).normal(size=6) for t in range(5)])
         assert y.shape == (2,)
         assert np.all(np.isfinite(y))
 
     def test_empty_sequence(self):
-        stack = build_rnn_stack(3, 3, 1, 2, np.random.default_rng(0))
+        stack = random_stack(3, 3, 1)
         with pytest.raises(ValueError):
             rnn_forward(stack, [])
 
     def test_inconsistent_lengths(self):
-        stack = build_rnn_stack(3, 3, 1, 2, np.random.default_rng(0))
+        stack = random_stack(3, 3, 1)
         with pytest.raises(ValueError):
             rnn_forward(stack, [np.zeros(3), np.zeros(4)])
 
     def test_output_dimension_two(self):
         for n_layers in (1, 2, 3):
-            stack = build_rnn_stack(5, 4, n_layers, 2, np.random.default_rng(1))
+            stack = random_stack(5, 4, n_layers, seed=1)
             assert rnn_forward(stack, [np.ones(5)] * 3).shape == (2,)
 
 
@@ -94,10 +102,6 @@ class TestGradients:
     def test_weight_gradients_match_finite_differences(self):
         """Reverse-mode gradients through a 3-step sequence vs central
         differences on the plain forward pass."""
-        from topodecode import autodiff as ad
-        from topodecode.model import RnnModel, PreparedData
-        from topodecode.config import TrainConfig
-
         cfg = TrainConfig(
             kind="hd", arch="rnn", nn_layers=2, hidden_size=3, seq_len=3,
             dropout=0.0, seed=12,
@@ -142,9 +146,6 @@ class TestGradients:
 
     def test_batched_graph_matches_plain_forward(self):
         """The training-path forward agrees with the plain recurrence."""
-        from topodecode.model import RnnModel, PreparedData
-        from topodecode.config import TrainConfig
-
         cfg = TrainConfig(
             kind="hd", arch="rnn", nn_layers=2, hidden_size=5, seq_len=4,
             dropout=0.0, seed=5,
@@ -168,19 +169,7 @@ class TestGradients:
         batched = model.predict(prep, starts)
 
         # plain-path oracle, one window at a time
-        stack = RnnStack(
-            layers=[
-                ElmanLayer(
-                    w_h=model.params[f"rnn.l{j}.w_h"].value,
-                    w_c=model.params[f"rnn.l{j}.w_c"].value,
-                    b_h=model.params[f"rnn.l{j}.b_h"].value.reshape(-1),
-                    b_c=model.params[f"rnn.l{j}.b_c"].value.reshape(-1),
-                )
-                for j in range(2)
-            ],
-            w_out=model.params["head.w"].value,
-            b_out=model.params["head.b"].value.reshape(-1),
-        )
+        stack = rnn_stack(model)
         for col, s in enumerate(starts):
             seq = [counts[:, s + t].astype(float) for t in range(4)]
             expect = rnn_forward(stack, seq)

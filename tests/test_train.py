@@ -89,15 +89,22 @@ class TestBackward:
 
     @pytest.mark.parametrize(
         "cfg_kw",
-        [dict(), dict(n_col=2), dict(sc_layers=3, n_filters=3, degree=2)],
-        ids=["default", "n_col2", "summed_filters"],
+        [dict(), dict(n_col=2), dict(sc_layers=3, n_filters=3, degree=2), dict(p=0.9)],
+        ids=["default", "n_col2", "summed_filters", "repeated_pattern"],
     )
     def test_scrnn_gradients_match_finite_differences(self, cfg_kw):
         """Covers the backward through the first layer's column gather
-        (``n_col``) and through the filter-summed weights of deeper layers."""
+        (``n_col``), through the filter-summed weights of deeper layers and,
+        with dense binarization, through a gather that reads one nonzero
+        k=1 activity pattern for several bins of the batch."""
         prep, cfg = tiny_prep_and_cfg(**cfg_kw)
         model = build_model("scrnn", prep, cfg)
         starts = prep.train_starts[:6]
+        if "p" in cfg_kw:
+            bins = np.unique(starts[:, None] + np.arange(cfg.seq_len))
+            active = prep.act[1][:, bins]
+            active = active[:, active.any(axis=0)]
+            assert np.unique(active, axis=1).shape[1] < active.shape[1]
         _, grads = backward(model, prep, starts)
         eps = 1e-5
         rng = np.random.default_rng(0)
