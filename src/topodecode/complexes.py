@@ -78,7 +78,6 @@ class SimplicialComplex:
         }
         self._validate()
         self._incidence: dict[int, sparse.csc_matrix] = {}
-        self._membership: dict[int, sparse.csr_matrix] = {}
 
     def _validate(self):
         for k, lst in self.simplices.items():
@@ -216,25 +215,16 @@ def complex_laplacians(S: SimplicialComplex) -> dict[int, HodgeLaplacian]:
     return {k: hodge_laplacian(S, k) for k in range(S.dim + 1)}
 
 
-def vertex_membership(S: SimplicialComplex, k: int) -> sparse.csr_matrix:
-    """0/1 matrix (N_k x n_vertices) marking which neurons span each simplex."""
-    if k in S._membership:
-        return S._membership[k]
-    simplices = S.simplices.get(k, [])
-    rows = np.repeat(np.arange(len(simplices)), k + 1)
-    cols = np.fromiter((v for s in simplices for v in s), dtype=np.int64)
-    mat = sparse.csr_matrix(
-        (np.ones(len(cols), dtype=np.int64), (rows, cols)),
-        shape=(len(simplices), S.n_vertices),
-    )
-    S._membership[k] = mat
-    return mat
-
-
 def coactivity_matrix(S: SimplicialComplex, bits: np.ndarray, k: int) -> np.ndarray:
-    """Per-bin indicator (N_k x N_b): 1 where all simplex vertices are active."""
-    membership = vertex_membership(S, k)
-    return (membership @ bits == (k + 1)).astype(np.int8)
+    """Per-bin indicator (N_k x N_b, int8): 1 where every vertex of the
+    k-simplex is active in the bin (nonzero bit = active), else 0. A
+    dimension without simplices gives shape ``(0, N_b)``."""
+    active = np.asarray(bits) != 0
+    vertices = np.array(S.simplices.get(k, ()), dtype=np.intp).reshape(-1, k + 1)
+    out = active[vertices[:, 0]]
+    for j in range(1, k + 1):
+        out &= active[vertices[:, j]]
+    return out.view(np.int8)
 
 
 def complex_to_json(S: SimplicialComplex) -> str:

@@ -248,23 +248,39 @@ def _rnn_params(input_width, cfg, rng) -> dict:
     return params
 
 
+def _column_patterns(bits):
+    """The distinct columns of a 0/1 matrix in lexicographic order, as
+    ``(first, pattern_of_bin)``: ``first[p]`` is the first column holding
+    pattern ``p`` and column ``b`` holds pattern ``pattern_of_bin[b]``, as
+    ``np.unique(bits, axis=1, return_index=True, return_inverse=True)``
+    gives them.
+
+    Each column is packed into one byte-string key. With 0/1 bits, the
+    byte order of two packed columns is their lexicographic order, so one
+    1-D ``np.unique`` over the keys replaces the row-by-row comparisons of
+    the ``axis=1`` form.
+    """
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=0).T.copy()
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, pattern_of_bin = np.unique(keys, return_index=True, return_inverse=True)
+    return first, pattern_of_bin.reshape(-1)
+
+
 class Decoder:
     """What every decoder shares: the config it was built with, its named
-    parameters (drawn by ``_init_params`` unless given), the MSE loss of a
-    batch, and a prediction through the graph ``forward`` evaluated
-    without recording."""
+    parameters drawn by ``_init_params`` (``load_checkpoint`` replaces
+    them), the MSE loss of a batch, and a prediction through the graph
+    ``forward`` evaluated without recording."""
 
     complex = None
 
-    def __init__(self, input_width, cfg, params=None):
+    def __init__(self, input_width, cfg):
         self.kind = cfg.kind
         self.input_width = input_width
         self.seq_len = cfg.seq_len
         self.nn_layers = cfg.nn_layers
         self.dropout = cfg.dropout
-        if params is None:
-            params = self._init_params(cfg, np.random.default_rng(cfg.seed))
-        self.params = params
+        self.params = self._init_params(cfg, np.random.default_rng(cfg.seed))
 
     def loss_batch(self, prep, starts, training=False, rng=None):
         pred, targets = self.forward(prep, starts, training, rng)
@@ -284,7 +300,7 @@ class Decoder:
 class ScrnnModel(Decoder):
     """Simplicial convolution layers feeding a stacked Elman RNN."""
 
-    def __init__(self, complex_, cfg, arch="scrnn", params=None):
+    def __init__(self, complex_, cfg, arch="scrnn"):
         self.arch = arch
         self.complex = complex_
         self.sc_layers = cfg.sc_layers
@@ -296,7 +312,7 @@ class ScrnnModel(Decoder):
             k: (lap.lower.astype(np.float64), lap.upper.astype(np.float64))
             for k, lap in complex_laplacians(complex_).items()
         }
-        super().__init__(complex_.total_simplices, cfg, params)
+        super().__init__(complex_.total_simplices, cfg)
 
     def _init_params(self, cfg, rng):
         """Each filter's weights uniform within +-1/sqrt(its term count),
@@ -357,10 +373,7 @@ class ScrnnModel(Decoder):
             raise ValueError("the model's complex differs from the prepared data's")
         if self.degree in prep.terms:
             return prep.terms[self.degree]
-        _, first, pattern_of_bin = np.unique(
-            prep.bits, axis=1, return_index=True, return_inverse=True
-        )
-        pattern_of_bin = pattern_of_bin.reshape(-1)
+        first, pattern_of_bin = _column_patterns(prep.bits)
         counts = prep.counts.astype(np.float64)
         terms = {0: np.stack(self._laplacian_powers(0, counts, operator.matmul))}
         for k in range(1, self.complex.dim + 1):
@@ -588,41 +601,43 @@ def set_param_values(model, values: dict[str, np.ndarray]) -> None:
         p.value = np.array(values[name], copy=True)
 
 
-def _weight_entries(model):
-    sc_entries, dense_entries = [], []
+# How ``repr`` and ``json.dumps`` write the non-finite floats.
+_JSON_NON_FINITE = (("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"))
+
+
+def _weights_json(model) -> str:
+    """``weights.json``: one entry per SC scalar and per dense matrix cell,
+    in sorted parameter order. Each matrix row is formatted through one
+    template holding a ``%r`` per cell; the bytes are those of
+    ``json.dumps(payload, separators=(",", ":"))`` of the entry dicts, so
+    checkpoints do not change."""
+    sc, dense = [], []
     for name in sorted(model.params):
         value = model.params[name].value
         if name.startswith("sc."):
             li, fi, kk, term = name.split(".")[1:]
-            sc_entries.append(
-                {
-                    "layer": int(li[1:]) + 1,
-                    "filter": int(fi[1:]) + 1,
-                    "dim": int(kk[1:]),
-                    "term": term,
-                    "value": float(value),
-                }
+            sc.append(
+                f'{{"layer":{int(li[1:]) + 1},"filter":{int(fi[1:]) + 1},'
+                f'"dim":{int(kk[1:])},"term":"{term}","value":{float(value)!r}}}'
             )
+            continue
+        if name.startswith("head."):
+            layer = model.nn_layers
+            matrix = "w_out" if name.endswith("w") else "b_out"
         else:
-            if name.startswith("rnn.") or name.startswith("fc."):
-                layer = int(name.split(".")[1][1:])
-                matrix = name.split(".")[2]
-            else:  # head
-                layer = model.nn_layers
-                matrix = "w_out" if name.endswith("w") else "b_out"
-            rows, cols = value.shape
-            for r in range(rows):
-                for c in range(cols):
-                    dense_entries.append(
-                        {
-                            "layer": layer,
-                            "matrix": matrix,
-                            "row": r,
-                            "col": c,
-                            "value": float(value[r, c]),
-                        }
-                    )
-    return sc_entries, dense_entries
+            _, li, matrix = name.split(".")
+            layer = int(li[1:])
+        cells = [f',"col":{c},"value":%r}}' for c in range(value.shape[1])]
+        for r, row in enumerate(value.tolist()):
+            head = f'{{"layer":{layer},"matrix":"{matrix}","row":{r}'
+            dense.append((head + f",{head}".join(cells)) % tuple(row))
+    text = (
+        f'{{"arch":"{model.arch}","sc":[{",".join(sc)}],'
+        f'"dense":[{",".join(dense)}]}}'
+    )
+    for py, js in _JSON_NON_FINITE:
+        text = text.replace(f'"value":{py}}}', f'"value":{js}}}')
+    return text
 
 
 def save_checkpoint(dirpath, model, cfg) -> None:
@@ -633,10 +648,8 @@ def save_checkpoint(dirpath, model, cfg) -> None:
     if model.complex is not None:
         with open(os.path.join(dirpath, "complex.json"), "w", encoding="utf-8") as fh:
             fh.write(complex_to_json(model.complex))
-    sc_entries, dense_entries = _weight_entries(model)
-    payload = {"arch": model.arch, "sc": sc_entries, "dense": dense_entries}
     with open(os.path.join(dirpath, "weights.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, separators=(",", ":")))
+        fh.write(_weights_json(model))
     write_config(cfg, os.path.join(dirpath, "config.txt"))
 
 
@@ -684,6 +697,27 @@ def load_checkpoint(dirpath):
     if arch in ("scrnn", "gnn"):
         with open(os.path.join(dirpath, "complex.json"), "r", encoding="utf-8") as fh:
             complex_ = complex_from_json(fh.read())
-        return ScrnnModel(complex_, cfg, arch=arch, params=params), cfg
-    model_cls = FfnnModel if arch == "ffnn" else RnnModel
-    return model_cls(params[first].value.shape[1], cfg, params=params), cfg
+        model = ScrnnModel(complex_, cfg, arch=arch)
+    else:
+        model_cls = FfnnModel if arch == "ffnn" else RnnModel
+        model = model_cls(params[first].value.shape[1], cfg)
+    _check_params(model.params, params)
+    model.params = params
+    return model, cfg
+
+
+def _check_params(drawn, loaded):
+    """Reject loaded weights whose names or shapes differ from those the
+    config draws, naming the first offending parameter."""
+    for name in sorted(drawn.keys() | loaded.keys()):
+        if name not in loaded:
+            raise ValueError(f"checkpoint has no parameter {name}")
+        if name not in drawn:
+            raise ValueError(
+                f"checkpoint parameter {name} is not part of the configured model"
+            )
+        want, got = drawn[name].value.shape, loaded[name].value.shape
+        if want != got:
+            raise ValueError(
+                f"checkpoint parameter {name} has shape {got}, the config implies {want}"
+            )

@@ -3,14 +3,19 @@
 File formats
 ------------
 Spike file: one record per line, ``neuron_id,spike_time_s`` with a
-non-negative integer id and decimal seconds. Label file: ``time_s,angle_deg``
-for head-direction data or ``time_s,x_cm,y_cm`` for position data. An
-optional header line is auto-detected and skipped.
+non-negative integer id and decimal seconds, in any order. Label file:
+``time_s,angle_deg`` for head-direction data or ``time_s,x_cm,y_cm`` for
+position data. Fields are comma-separated, with optional whitespace around
+them, and each one must parse as a Python ``float``. Only line 1 may be a
+header: it is skipped when one of its fields is not a number. Blank and
+whitespace-only lines are skipped anywhere. There are no comment lines: a
+line starting with ``#`` is malformed.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +143,7 @@ def _is_header(fields) -> bool:
 
 
 def _read_rows(path, n_fields, label):
+    """The line parser: every accepted quirk and every error message."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -158,7 +164,33 @@ def _read_rows(path, n_fields, label):
                 raise SpikeFileError(
                     f"{label} file {path}: malformed line {lineno}: {line!r}"
                 ) from exc
-    return rows
+    return np.asarray(rows, dtype=np.float64).reshape(-1, n_fields)
+
+
+def _read_table(path, n_fields, label):
+    """The file's records as a float64 array of shape (n, n_fields).
+
+    ``np.loadtxt`` parses a well-formed file in one pass, with the same
+    float conversion as ``float()``. A file it rejects, warns about or
+    reads with another column count (a whitespace-only line, ``1_0``, no
+    records, a malformed line) goes through ``_read_rows``, whose line by
+    line parse decides what the format accepts and words every error.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline().strip()
+    header = bool(first) and _is_header(_split_fields(first))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, delimiter=",", comments=None, skiprows=int(header),
+                ndmin=2, encoding="utf-8",
+            )
+    except (ValueError, Warning):
+        return _read_rows(path, n_fields, label)
+    if table.shape[1] != n_fields:
+        return _read_rows(path, n_fields, label)
+    return table
 
 
 def load_spike_dataset(path, kind: str) -> SpikeDataset:
@@ -199,23 +231,24 @@ def load_spike_dataset(path, kind: str) -> SpikeDataset:
             f"data, but kind={kind!r} was requested"
         )
 
-    label_rows = np.asarray(_read_rows(label_path, n_label_fields, "label"))
-    spike_rows = _read_rows(spike_path, 2, "spike")
+    label_rows = _read_table(label_path, n_label_fields, "label")
+    spike_rows = _read_table(spike_path, 2, "spike")
 
     label_times = label_rows[:, 0]
     labels = label_rows[:, 1] if kind == "hd" else label_rows[:, 1:3]
 
     t_end = float(label_times[-1]) if label_times.size else 0.0
-    if spike_rows:
-        ids = np.asarray([r[0] for r in spike_rows])
-        times = np.asarray([r[1] for r in spike_rows])
+    if spike_rows.size:
+        ids, times = spike_rows[:, 0], spike_rows[:, 1]
         if np.any(ids < 0) or np.any(ids != np.round(ids)):
             raise SpikeFileError(f"spike file {spike_path}: non-integer neuron id")
         if np.any(times < 0):
             raise ValidationError("spike time before t_start=0")
-        n_neurons = int(ids.max()) + 1
         t_end = max(t_end, float(times.max()))
-        neurons = [times[ids == i] for i in range(n_neurons)]
+        # A stable sort by id keeps each neuron's spikes in file order.
+        ids = ids.astype(np.int64)
+        order = np.argsort(ids, kind="stable")
+        neurons = np.split(times[order], np.cumsum(np.bincount(ids))[:-1])
     else:
         neurons = []
     return SpikeDataset(

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import oracle
 from oracle import cochain_from_bin
 from topodecode.complexes import (
     Simplex,
     SimplicialComplex,
     build_complex,
+    coactivity_matrix,
     complex_from_json,
     complex_to_json,
     hodge_laplacian,
@@ -198,6 +200,32 @@ class TestCochain:
         b = bits([[1, 1, 1]])
         with pytest.raises(ValueError):
             cochain_from_bin(triangle_complex, counts, b, 0, 2)
+
+
+class TestCoactivity:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_vertex_count_oracle(self, seed):
+        """The AND of vertex bit rows equals the membership matmul form on
+        random complexes, at every dimension and one past the top, which has
+        no simplices, including bins the complex was not built from."""
+        rng = np.random.default_rng(seed)
+        n, n_bins, k_max = int(rng.integers(1, 10)), 40, int(rng.integers(1, 4))
+        m = (rng.random((n, n_bins)) < rng.uniform(0.2, 0.7)).astype(np.int8)
+        S = build_complex(m, k_max, range(n_bins // 2))
+        for k in range(k_max + 2):
+            got = coactivity_matrix(S, m, k)
+            want = oracle.coactivity_matrix(S, m, k)
+            assert got.dtype == np.int8
+            assert got.shape == (S.n_simplices(k), n_bins)
+            assert np.array_equal(got, want)
+
+    def test_one_neuron_complex(self):
+        S = SimplicialComplex(1, {})
+        m = np.array([[0, 1, 1, 0]], dtype=np.int8)
+        assert np.array_equal(coactivity_matrix(S, m, 0), m)
+        empty = coactivity_matrix(S, m, 1)
+        assert empty.shape == (0, 4) and empty.dtype == np.int8
+        assert np.array_equal(empty, oracle.coactivity_matrix(S, m, 1))
 
 
 class TestExport:

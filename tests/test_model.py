@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from oracle import cochain_from_bin, flatten, rnn_forward, rnn_stack, sc_stack, sc_stack_forward
 from topodecode.complexes import complex_laplacians
 from topodecode.config import TrainConfig
@@ -12,6 +13,7 @@ from topodecode.model import (
     PreparedData,
     RnnModel,
     ScrnnModel,
+    _column_patterns,
     build_model,
     decode_angle,
     decode_angles,
@@ -228,6 +230,17 @@ class TestGraphFreePredict:
             assert terms[k].shape[2] < prep.n_bins
             assert np.array_equal(terms[k][:, :, pattern_of_bin], np.stack(want))
 
+    @pytest.mark.parametrize("n_neurons", [5, 8, 13, 70])
+    def test_column_patterns_match_unique_over_columns(self, n_neurons):
+        rng = np.random.default_rng(n_neurons)
+        bits = (rng.random((n_neurons, 60)) < 0.3).astype(np.int8)
+        bits[:, [3, 17, 40]] = 0
+        bits[:, 50:58] = bits[:, [9, 9, 21, 21, 21, 33, 3, 0]]
+        _, first, inverse = np.unique(bits, axis=1, return_index=True, return_inverse=True)
+        got_first, got_inverse = _column_patterns(bits)
+        assert np.array_equal(got_first, first)
+        assert np.array_equal(got_inverse, inverse.reshape(-1))
+
     def test_act_not_constant_per_pattern_rejected(self):
         prep, cfg = small_hd_prep()
         _, inverse, counts = np.unique(
@@ -376,6 +389,82 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"no {name} matrix"):
             load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("arch, cfg_kw, edit, message", [
+        (
+            "scrnn", {},
+            lambda p: p.update(sc=[e for e in p["sc"] if e["layer"] != 2]),
+            r"checkpoint has no parameter sc\.l1\.f0\.k0\.up1$",
+        ),
+        (
+            "rnn", dict(nn_layers=2),
+            lambda p: p.update(dense=[e for e in p["dense"] if e["layer"] != 1]),
+            r"checkpoint has no parameter rnn\.l1\.b_c$",
+        ),
+        (
+            "rnn", dict(nn_layers=2),
+            lambda p: p["dense"].append(
+                {"layer": 5, "matrix": "w_c", "row": 0, "col": 0, "value": 1.0}
+            ),
+            r"checkpoint parameter rnn\.l5\.w_c is not part of the configured model$",
+        ),
+        (
+            "gnn", {},
+            lambda p: p.update(
+                dense=[e for e in p["dense"] if (e["matrix"], e["row"]) != ("w_out", 1)]
+            ),
+            r"checkpoint parameter head\.w has shape \(1, 8\), the config implies \(2, 8\)$",
+        ),
+    ])
+    def test_weights_checked_against_config(self, tmp_path, arch, cfg_kw, edit, message):
+        """A checkpoint whose weights do not fit its config is rejected at
+        load, naming the first offending parameter, not at predict."""
+        prep, cfg = small_hd_prep(arch=arch, **cfg_kw)
+        save_checkpoint(tmp_path, build_model(arch, prep, cfg), cfg)
+        path = tmp_path / "weights.json"
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
+    @pytest.mark.parametrize("values", ["drawn", "awkward"])
+    def test_weight_bytes_equal_json_dumps(self, tmp_path, arch, values):
+        """``weights.json`` is byte for byte ``json.dumps`` of the entry
+        dicts, also for signed zeros, subnormals and extreme exponents, and
+        loads back to the same bits."""
+        prep, cfg = small_hd_prep(arch=arch, nn_layers=2)
+        model = build_model(arch, prep, cfg)
+        if values == "awkward":
+            awkward = np.array([
+                -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                1e-300, -1e-300, 0.1, 1.0, -2.5,
+            ])
+            for i, name in enumerate(sorted(model.params)):
+                p = model.params[name]
+                p.value = np.resize(np.roll(awkward, i), p.value.shape)
+        save_checkpoint(tmp_path, model, cfg)
+        assert (tmp_path / "weights.json").read_text() == oracle.weights_json(model)
+        loaded, _ = load_checkpoint(tmp_path)
+        for name, p in model.params.items():
+            assert loaded.params[name].value.tobytes() == p.value.tobytes()
+
+    def test_non_finite_weights_written_as_json_dumps_does(self, tmp_path):
+        prep, cfg = small_hd_prep()
+        model = build_model("scrnn", prep, cfg)
+        model.params["head.b"].value = np.array([[np.nan], [np.inf]])
+        model.params["sc.l0.f0.k0.w0"].value = np.array(-np.inf)
+        save_checkpoint(tmp_path, model, cfg)
+        text = (tmp_path / "weights.json").read_text()
+        assert text == oracle.weights_json(model)
+        assert '"term":"w0","value":-Infinity}' in text
+        assert '"row":0,"col":0,"value":NaN}' in text
+        assert '"row":1,"col":0,"value":Infinity}' in text
+        loaded, _ = load_checkpoint(tmp_path)
+        for name in ("head.b", "sc.l0.f0.k0.w0"):
+            got, want = loaded.params[name].value, model.params[name].value
+            assert got.tobytes() == want.tobytes()
 
     def test_weight_file_schema(self, tmp_path):
         import json

@@ -1,10 +1,17 @@
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topodecode import spikes
 from topodecode.spikes import (
     BinaryMatrix,
+    SpikeDataset,
     SpikeCountMatrix,
     SpikeFileError,
     ValidationError,
@@ -16,6 +23,7 @@ from topodecode.spikes import (
 )
 
 from conftest import make_hd_dataset
+from topodecode.synth import HdSimConfig, simulate_hd
 
 
 def matrix(rows):
@@ -66,6 +74,134 @@ class TestLoad:
         assert back.kind == "hd"
         assert back.n_neurons == 2
         np.testing.assert_allclose(back.neurons[0], ds.neurons[0], atol=1e-6)
+
+
+def line_parser_dataset(directory, kind):
+    """The dataset as the line parser reads it, split per neuron by id
+    comparison: the reference for the loader's fast path."""
+    n_label_fields = 2 if kind == "hd" else 3
+    label_rows = spikes._read_rows(directory / "labels.csv", n_label_fields, "label")
+    rows = spikes._read_rows(directory / "spikes.csv", 2, "spike")
+    ids, times = rows[:, 0], rows[:, 1]
+    n_neurons = int(ids.max()) + 1 if rows.size else 0
+    return SpikeDataset(
+        neurons=[times[ids == i] for i in range(n_neurons)],
+        label_times=label_rows[:, 0],
+        labels=label_rows[:, 1] if kind == "hd" else label_rows[:, 1:3],
+        kind=kind,
+        t_start=0.0,
+        t_end=max([float(label_rows[-1, 0])] + ([float(times.max())] if rows.size else [])),
+    )
+
+
+FLOAT_FORMATS = [repr, "{:.6f}".format]
+PADS = ["", " ", "\t "]
+BLANKS = ["", "   ", "\t"]
+
+
+@st.composite
+def csv_session(draw):
+    """Spike and label file text with the quirks the format allows: an
+    optional header, blank and whitespace-only lines, whitespace around
+    fields, ``repr`` and ``%.6f`` floats, ids out of order, silent neurons."""
+    kind = draw(st.sampled_from(["hd", "grid"]))
+    n_neurons = draw(st.integers(1, 6))
+    times = st.floats(0.0, 50.0, allow_nan=False)
+    ids = draw(st.lists(st.integers(0, n_neurons - 1), max_size=40))
+    records = sorted((draw(times), i) for i in ids)
+
+    def lines(rows, header):
+        out = []
+        if draw(st.booleans()):
+            out.append(header)
+        for row in rows:
+            pad = draw(st.sampled_from(PADS))
+            out.append(",".join(f"{pad}{field}{pad}" for field in row))
+            if draw(st.integers(0, 5)) == 0:
+                out.append(draw(st.sampled_from(BLANKS)))
+        return "\n".join(out) + "\n"
+
+    # One format per file for times, since mixing formats can reorder
+    # them; label values take one per field.
+    time_fmt = draw(st.sampled_from(FLOAT_FORMATS))
+    spike_text = lines([(i, time_fmt(t)) for t, i in records], "neuron_id,spike_time_s")
+    n_labels = draw(st.integers(1, 10))
+    label_times = sorted(draw(st.lists(times, min_size=n_labels, max_size=n_labels)))
+    n_values = 1 if kind == "hd" else 2
+    values = st.floats(-400.0, 400.0, allow_nan=False)
+    label_rows = [
+        [time_fmt(t)]
+        + [draw(st.sampled_from(FLOAT_FORMATS))(draw(values)) for _ in range(n_values)]
+        for t in label_times
+    ]
+    header = "time_s,angle_deg" if kind == "hd" else "time_s,x_cm,y_cm"
+    return kind, spike_text, lines(label_rows, header)
+
+
+class TestLoadFastPath:
+    @given(session=csv_session())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_line_parser(self, session):
+        kind, spike_text, label_text = session
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            (directory / "spikes.csv").write_text(spike_text)
+            (directory / "labels.csv").write_text(label_text)
+            got = load_spike_dataset(str(directory), kind=kind)
+            want = line_parser_dataset(directory, kind)
+        assert len(got.neurons) == len(want.neurons)
+        for a, b in zip(got.neurons, want.neurons):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.label_times.tobytes() == want.label_times.tobytes()
+        assert got.labels.shape == want.labels.shape
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.t_end == want.t_end
+
+    @pytest.mark.parametrize("line, n_fields", [("# c", 1), ("0,0.5,", 3), ("0,0.5,1", 3)])
+    def test_line_parser_errors_kept(self, tmp_path, line, n_fields):
+        spike_path = tmp_path / "spikes.csv"
+        spike_path.write_text(f"neuron_id,spike_time_s\n0,0.25\n{line}\n1,0.5\n")
+        (tmp_path / "labels.csv").write_text("0.0,10\n1.0,20\n")
+        message = f"spike file {spike_path}: line 3 has {n_fields} fields, expected 2"
+        with pytest.raises(SpikeFileError, match=re.escape(message)):
+            load_spike_dataset(str(tmp_path), kind="hd")
+
+    def test_quirks_accepted_by_the_line_parser(self, tmp_path):
+        (tmp_path / "spikes.csv").write_text("0,1_0\n   \n1, 2.5\n")
+        (tmp_path / "labels.csv").write_text("0.0,10\n20.0,20\n")
+        ds = load_spike_dataset(str(tmp_path), kind="hd")
+        assert [n.tolist() for n in ds.neurons] == [[10.0], [2.5]]
+
+    def test_empty_spike_file_after_header(self, tmp_path):
+        (tmp_path / "spikes.csv").write_text("neuron_id,spike_time_s\n")
+        (tmp_path / "labels.csv").write_text("time_s,angle_deg\n0.0,10\n1.0,20\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = load_spike_dataset(str(tmp_path), kind="hd")
+        assert [str(w.message) for w in caught] == []
+        assert ds.neurons == []
+        assert ds.label_times.tolist() == [0.0, 1.0]
+
+    def test_label_file_without_records_named(self, tmp_path):
+        (tmp_path / "spikes.csv").write_text("0,0.5\n")
+        (tmp_path / "labels.csv").write_text("time_s,angle_deg\n")
+        with pytest.raises(ValidationError, match="empty label stream"):
+            load_spike_dataset(str(tmp_path), kind="hd")
+
+    def test_written_files_take_the_fast_path(self, tmp_path, monkeypatch):
+        """Files written by ``save_spike_dataset`` never need the line parser,
+        which is an order of magnitude slower."""
+        ds = simulate_hd(HdSimConfig(n_neurons=6, duration=20.0, seed=2))
+        save_spike_dataset(ds, tmp_path)
+
+        def refuse(*args):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(spikes, "_read_rows", refuse)
+        back = load_spike_dataset(str(tmp_path), kind="hd")
+        assert back.n_neurons == ds.n_neurons
+        for a, b in zip(back.neurons, ds.neurons):
+            np.testing.assert_allclose(a, b, atol=1e-6)
 
 
 class TestBinSpikes:
