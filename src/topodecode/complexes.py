@@ -18,7 +18,6 @@ import numpy as np
 from scipy import sparse
 
 __all__ = [
-    "Simplex",
     "SimplicialComplex",
     "HodgeLaplacian",
     "build_complex",
@@ -29,26 +28,6 @@ __all__ = [
     "complex_to_json",
     "complex_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """A simplex as a strictly ascending tuple of neuron indices."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.vertices, self.vertices[1:])):
-            raise ValueError(f"vertices must be strictly ascending: {self.vertices}")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vertices) - 1
-
-    def faces(self) -> list["Simplex"]:
-        """All (k-1)-faces, j-th face omitting vertex j."""
-        v = self.vertices
-        return [Simplex(v[:j] + v[j + 1:]) for j in range(len(v))]
 
 
 class SimplicialComplex:

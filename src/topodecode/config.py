@@ -68,12 +68,15 @@ def config_from_dict(data: dict) -> TrainConfig:
     for key, raw in data.items():
         if key not in _TYPES:
             raise KeyError(f"unknown config key {key!r}")
-        if key == "split":
-            if isinstance(raw, str):
-                raw = raw.split(",")
-            kwargs[key] = tuple(float(x) for x in raw)
-        else:
-            kwargs[key] = _TYPES[key](raw)
+        try:
+            if key == "split":
+                if isinstance(raw, str):
+                    raw = raw.split(",")
+                kwargs[key] = tuple(float(x) for x in raw)
+            else:
+                kwargs[key] = _TYPES[key](raw)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
     return TrainConfig(**kwargs)
 
 

@@ -50,7 +50,11 @@ ARCHS = ("scrnn", "ffnn", "rnn", "gnn")
 
 @dataclass
 class PreparedData:
-    """Binned, binarized, and labeled data ready for window-based decoding."""
+    """Binned, binarized, and labeled data ready for window-based decoding.
+
+    The SCRNN's k >= 1 inputs are not stored here: ``ScrnnModel`` computes
+    the coactivity of each distinct column of ``bits`` with its input terms.
+    """
 
     kind: str
     counts: np.ndarray
@@ -63,7 +67,6 @@ class PreparedData:
     train_starts: np.ndarray
     test_starts: np.ndarray
     complex: SimplicialComplex | None = None
-    act: dict | None = None
     norm: tuple | None = None
     # ScrnnModel input terms keyed by filter degree. Left out of __init__ so
     # that dataclasses.replace starts with an empty cache.
@@ -152,9 +155,7 @@ def prepare(
         norm = ((float(mins[0]), float(spans[0])), (float(mins[1]), float(spans[1])))
         targets = ((xy - mins) / spans).T.copy()
 
-    needs_complex = arch in ("scrnn", "gnn")
-    act = None
-    if needs_complex:
+    if arch in ("scrnn", "gnn"):
         if complex_ is None:
             k_max = 1 if arch == "gnn" else cfg.k_max
             # Looked up on the module at call time, so that a wrapper
@@ -165,10 +166,6 @@ def prepare(
                 f"complex has {complex_.n_vertices} vertices but the dataset has "
                 f"{counts.shape[0]} neurons"
             )
-        act = {
-            k: coactivity_matrix(complex_, bits.bits, k)
-            for k in range(1, complex_.dim + 1)
-        }
     else:
         complex_ = None
 
@@ -184,7 +181,6 @@ def prepare(
         train_starts=train_starts,
         test_starts=test_starts,
         complex=complex_,
-        act=act,
         norm=norm,
     )
 
@@ -360,14 +356,14 @@ class ScrnnModel(Decoder):
         ``(terms, pattern_of_bin)``.
 
         ``terms[0]`` holds the powers of the spike counts, one column per
-        bin. For k >= 1 the input cochain depends only on the bin's
-        binarized column, so ``terms[k]`` holds one column per distinct
-        column of ``prep.bits``, and bin ``b`` reads column
-        ``pattern_of_bin[b]``. The first layer's filters only scale these
-        matrices, so they are computed once per dataset and gathered per
-        batch; each column of a sparse product depends on the same column of
-        the input alone, so the gathered columns equal per-bin products bit
-        for bit.
+        bin. For k >= 1 the input cochain is the coactivity of the bin's
+        binarized column, so it is computed here once per distinct column of
+        ``prep.bits``: ``terms[k]`` holds one column per distinct column,
+        and bin ``b`` reads column ``pattern_of_bin[b]``. The first layer's
+        filters only scale these matrices, so they are computed once per
+        dataset and gathered per batch; each column of a sparse product
+        depends on the same column of the input alone, so the gathered
+        columns equal per-bin products bit for bit.
         """
         if self.complex != prep.complex:
             raise ValueError("the model's complex differs from the prepared data's")
@@ -377,11 +373,7 @@ class ScrnnModel(Decoder):
         counts = prep.counts.astype(np.float64)
         terms = {0: np.stack(self._laplacian_powers(0, counts, operator.matmul))}
         for k in range(1, self.complex.dim + 1):
-            act = prep.act[k][:, first]
-            if not np.array_equal(prep.act[k], act[:, pattern_of_bin]):
-                raise ValueError(
-                    f"act[{k}] differs between bins with the same binarized column"
-                )
+            act = coactivity_matrix(self.complex, prep.bits[:, first], k)
             powers = self._laplacian_powers(k, act.astype(np.float64), operator.matmul)
             terms[k] = np.stack(powers)
         prep.terms[self.degree] = terms, pattern_of_bin

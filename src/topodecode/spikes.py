@@ -7,7 +7,7 @@ non-negative integer id and decimal seconds, in any order. Label file:
 ``time_s,angle_deg`` for head-direction data or ``time_s,x_cm,y_cm`` for
 position data. Fields are comma-separated, with optional whitespace around
 them, and each one must parse as a Python ``float``. Only line 1 may be a
-header: it is skipped when one of its fields is not a number. Blank and
+header: it is skipped when none of its fields is a number. Blank and
 whitespace-only lines are skipped anywhere. There are no comment lines: a
 line starting with ``#`` is malformed.
 """
@@ -134,12 +134,14 @@ def _split_fields(line: str):
 
 
 def _is_header(fields) -> bool:
-    try:
-        for f in fields:
+    """True when no field parses as a number."""
+    for f in fields:
+        try:
             float(f)
-    except ValueError:
-        return True
-    return False
+        except ValueError:
+            continue
+        return False
+    return True
 
 
 def _read_rows(path, n_fields, label):

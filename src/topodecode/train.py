@@ -3,12 +3,12 @@ seeded random hyperparameter search."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import TrainConfig
+from .config import TrainConfig, config_from_dict
 from .metrics import ErrorReport, report_grid, report_hd
 from .model import PreparedData, build_model, param_values, predictions_to_labels, prepare, set_param_values
 
@@ -157,11 +157,13 @@ class SearchSpace:
     candidates: dict[str, list] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.candidates, dict):
+            raise ValueError("a search space maps config keys to candidate lists")
         if not self.candidates:
             raise ValueError("empty search space")
         for key, values in self.candidates.items():
-            if not values:
-                raise ValueError(f"no candidates for {key!r}")
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"no candidate list for {key!r}")
 
     def sample(self, rng) -> dict:
         return {
@@ -246,14 +248,16 @@ def random_search(
 ):
     """Train ``budget`` uniformly sampled configs and rank them by the
     validation metric (AAE for angles, AED for positions). Deterministic
-    for a fixed seed."""
+    for a fixed seed. Each trial's config is read like a config file's:
+    ``base_cfg`` with seed ``seed + trial``, overridden by the sample."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     leaderboard = []
     for trial in range(budget):
-        overrides = space.sample(rng)
-        cfg = base_cfg.replace(seed=int(seed + trial), **overrides)
+        cfg = config_from_dict(
+            {**asdict(base_cfg), "seed": seed + trial, **space.sample(rng)}
+        )
         prep = prepare(dataset, cfg, arch=cfg.arch)
         model = build_model(cfg.arch, prep, cfg)
         model, _ = train(model, prep, cfg)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from topodecode.cli import main
 
 MANIFEST_KEYS = {
@@ -40,3 +42,35 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     assert main(["simulate", "hd", "--out", str(tmp_path / "data"),
                  "--config", str(cfg)]) == 1
     assert "n_neuron" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_hd_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("search")
+    sim_cfg = root / "sim.txt"
+    sim_cfg.write_text("n_neurons = 10\n")
+    data = root / "data"
+    assert main(["simulate", "hd", "--out", str(data), "--duration", "60",
+                 "--config", str(sim_cfg)]) == 0
+    return data
+
+
+@pytest.mark.parametrize(
+    "space, needle",
+    [
+        ({"epochz": [1]}, "epochz"),
+        ({"epochs": ["x"]}, "epochs"),
+        ({"epochs": [None]}, "epochs"),
+        ([1, 2], "search space"),
+    ],
+    ids=["unknown_key", "bad_value", "null_value", "not_an_object"],
+)
+def test_search_rejects_bad_space(small_hd_data, tmp_path, capsys, space, needle):
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(space))
+    capsys.readouterr()
+    assert main(["search", "--data", str(small_hd_data), "--out", str(tmp_path / "out"),
+                 "--space", str(space_path), "--budget", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert needle in err[0]

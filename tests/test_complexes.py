@@ -1,3 +1,5 @@
+import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +9,6 @@ from scipy import sparse
 import oracle
 from oracle import cochain_from_bin
 from topodecode.complexes import (
-    Simplex,
     SimplicialComplex,
     build_complex,
     coactivity_matrix,
@@ -22,16 +23,6 @@ from topodecode.spikes import BinaryMatrix, SpikeCountMatrix
 def bits(cols):
     """Column-wise activity patterns -> BinaryMatrix."""
     return BinaryMatrix(bits=np.asarray(cols, dtype=np.int8).T, p=1.0)
-
-
-class TestSimplex:
-    def test_orientation_enforced(self):
-        with pytest.raises(ValueError):
-            Simplex((2, 1))
-
-    def test_faces_drop_one_vertex(self):
-        s = Simplex((0, 3, 5))
-        assert [f.vertices for f in s.faces()] == [(3, 5), (0, 5), (0, 3)]
 
 
 class TestBuild:
@@ -237,10 +228,23 @@ class TestExport:
         assert back == S
 
     def test_json_contains_triples(self, triangle_complex):
-        import json
-
         payload = json.loads(complex_to_json(triangle_complex))
         assert payload["n_vertices"] == 3
         assert payload["simplices"]["2"] == [[0, 1, 2]]
         entries = payload["incidence"]["2"]["entries"]
         assert sorted(entries) == [[0, 0, 1], [1, 0, -1], [2, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "simplices, message",
+        [
+            ({"1": [[1, 0]]}, "simplex vertices not strictly ascending: (1, 0)"),
+            ({"1": [[0, 1, 2]]}, "simplex (0, 1, 2) stored at wrong dimension 1"),
+            ({"1": [[0, 3]]}, "simplex (0, 3) has out-of-range vertices"),
+            ({"2": [[0, 1, 2]]}, "complex not closed under faces: (0, 1, 2) lacks (1, 2)"),
+        ],
+        ids=["descending", "wrong_dimension", "out_of_range", "missing_faces"],
+    )
+    def test_invalid_json_complex_rejected(self, simplices, message):
+        text = json.dumps({"n_vertices": 3, "simplices": simplices})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            complex_from_json(text)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -118,10 +117,6 @@ class TestScrnnForward:
             train_starts=np.arange(4, 9),
             test_starts=np.arange(0, 3),
             complex=triangle_complex,
-            act={
-                k: np.zeros((triangle_complex.n_simplices(k), 10), dtype=np.int8)
-                for k in (1, 2)
-            },
         )
         model = ScrnnModel(triangle_complex, cfg)
         for name, p in model.params.items():
@@ -213,22 +208,36 @@ class TestGraphFreePredict:
         np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-12)
 
     def test_pattern_terms_equal_per_bin_powers(self):
-        prep, cfg = small_hd_prep(degree=2)
-        model = ScrnnModel(prep.complex, cfg)
-        terms, pattern_of_bin = model._input_terms(prep)
-        top = prep.complex.dim
-        laps = complex_laplacians(prep.complex)
-        for k in range(1, top + 1):
-            x = prep.act[k].astype(np.float64)
-            want = [x]
-            lap = laps[k]
-            for half, present in ((lap.lower, True), (lap.upper, k < top)):
-                power = x
-                for _ in range(cfg.degree if present else 0):
-                    power = half.astype(np.float64) @ power
-                    want.append(power)
-            assert terms[k].shape[2] < prep.n_bins
-            assert np.array_equal(terms[k][:, :, pattern_of_bin], np.stack(want))
+        """The per-pattern terms, gathered per bin, equal the Laplacian
+        powers of each bin's coactivity: for scrnn, for gnn, and on a
+        session prepared over a given complex whose activity patterns never
+        occurred in the complex's training block. Dense binarization gives
+        the scrnn complex triangles, so the k = 1 upper powers are covered."""
+        for arch, eval_seed in (("scrnn", None), ("gnn", None), ("scrnn", 5)):
+            prep, cfg = small_hd_prep(arch=arch, degree=2, p=0.7)
+            model = build_model(arch, prep, cfg)
+            if eval_seed is not None:
+                seen = {prep.bits[:, b].tobytes() for b in range(prep.n_test, prep.n_bins)}
+                ds = simulate_hd(HdSimConfig(n_neurons=10, duration=60.0, seed=eval_seed))
+                prep = prepare(ds, cfg, arch=arch, complex_=model.complex)
+                assert any(col.tobytes() not in seen for col in prep.bits.T)
+            terms, pattern_of_bin = model._input_terms(prep)
+            top = prep.complex.dim
+            assert top == (1 if arch == "gnn" else 2)
+            laps = complex_laplacians(prep.complex)
+            for k in range(1, top + 1):
+                x = oracle.coactivity_matrix(prep.complex, prep.bits, k).astype(np.float64)
+                want = [x]
+                lap = laps[k]
+                for half, present in ((lap.lower, True), (lap.upper, k < top)):
+                    power = x
+                    for _ in range(cfg.degree if present else 0):
+                        power = half.astype(np.float64) @ power
+                        want.append(power)
+                assert terms[k].shape[2] < prep.n_bins
+                assert np.array_equal(terms[k][:, :, pattern_of_bin], np.stack(want)), (
+                    arch, eval_seed, k
+                )
 
     @pytest.mark.parametrize("n_neurons", [5, 8, 13, 70])
     def test_column_patterns_match_unique_over_columns(self, n_neurons):
@@ -240,20 +249,6 @@ class TestGraphFreePredict:
         got_first, got_inverse = _column_patterns(bits)
         assert np.array_equal(got_first, first)
         assert np.array_equal(got_inverse, inverse.reshape(-1))
-
-    def test_act_not_constant_per_pattern_rejected(self):
-        prep, cfg = small_hd_prep()
-        _, inverse, counts = np.unique(
-            prep.bits, axis=1, return_inverse=True, return_counts=True
-        )
-        b = int(np.flatnonzero(counts[inverse.reshape(-1)] >= 2)[0])
-        act = {k: v.copy() for k, v in prep.act.items()}
-        act[1][0, b] = 1 - act[1][0, b]
-        model = ScrnnModel(prep.complex, cfg)
-        model.predict(prep, prep.test_starts[:3])  # fills prep's term cache
-        bad = dataclasses.replace(prep, act=act)
-        with pytest.raises(ValueError, match=r"act\[1\]"):
-            model.predict(bad, prep.test_starts[:3])
 
     def test_other_complex_rejected(self):
         prep, cfg = small_hd_prep(seed=3)

@@ -166,6 +166,22 @@ class TestLoadFastPath:
         with pytest.raises(SpikeFileError, match=re.escape(message)):
             load_spike_dataset(str(tmp_path), kind="hd")
 
+    def test_malformed_first_record_is_not_a_header(self, tmp_path):
+        spike_path = tmp_path / "spikes.csv"
+        spike_path.write_text("0,0.5,\n1,0.25\n")
+        (tmp_path / "labels.csv").write_text("0.0,10\n1.0,20\n")
+        message = f"spike file {spike_path}: line 1 has 3 fields, expected 2"
+        with pytest.raises(SpikeFileError, match=re.escape(message)):
+            load_spike_dataset(str(tmp_path), kind="hd")
+
+    def test_malformed_first_label_is_not_a_header(self, tmp_path):
+        (tmp_path / "spikes.csv").write_text("0,0.5\n")
+        label_path = tmp_path / "labels.csv"
+        label_path.write_text("0.0,1O\n1.0,20\n")
+        message = f"label file {label_path}: malformed line 1: '0.0,1O'"
+        with pytest.raises(SpikeFileError, match=re.escape(message)):
+            load_spike_dataset(str(tmp_path), kind="hd")
+
     def test_quirks_accepted_by_the_line_parser(self, tmp_path):
         (tmp_path / "spikes.csv").write_text("0,1_0\n   \n1, 2.5\n")
         (tmp_path / "labels.csv").write_text("0.0,10\n20.0,20\n")

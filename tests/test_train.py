@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from topodecode import autodiff as ad
 from topodecode.config import TrainConfig, read_config, write_config
 from topodecode.model import (
@@ -102,7 +103,7 @@ class TestBackward:
         starts = prep.train_starts[:6]
         if "p" in cfg_kw:
             bins = np.unique(starts[:, None] + np.arange(cfg.seq_len))
-            active = prep.act[1][:, bins]
+            active = oracle.coactivity_matrix(prep.complex, prep.bits[:, bins], 1)
             active = active[:, active.any(axis=0)]
             assert np.unique(active, axis=1).shape[1] < active.shape[1]
         _, grads = backward(model, prep, starts)
@@ -258,6 +259,8 @@ class TestSearch:
             SearchSpace({})
         with pytest.raises(ValueError):
             SearchSpace({"epochs": []})
+        with pytest.raises(ValueError):
+            SearchSpace({"epochs": 5})
 
 
 class TestConfigFile:
