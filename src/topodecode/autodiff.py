@@ -107,7 +107,9 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def spmm(m, x: Var) -> Var:
-    """Constant sparse matrix times a variable dense matrix."""
+    """Constant linear operator times a variable dense matrix. ``m`` is a
+    sparse matrix or any operator with ``@`` whose ``.T`` applies its
+    transpose, such as a symmetric operator whose ``.T`` is itself."""
     out = m @ x.value
 
     def vjp(g):

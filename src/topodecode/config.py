@@ -73,11 +73,23 @@ def config_from_dict(data: dict) -> TrainConfig:
                 if isinstance(raw, str):
                     raw = raw.split(",")
                 kwargs[key] = tuple(float(x) for x in raw)
+            elif _TYPES[key] is int:
+                kwargs[key] = _to_int(raw)
             else:
                 kwargs[key] = _TYPES[key](raw)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
     return TrainConfig(**kwargs)
+
+
+def _to_int(raw) -> int:
+    """An int field's value: rejects booleans and numbers with a fraction,
+    which ``int`` would take as 0/1 or truncate."""
+    if isinstance(raw, bool):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    if isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
 
 
 def read_kv(path) -> dict:

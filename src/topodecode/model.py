@@ -26,6 +26,7 @@ from .complexes import (
     complex_from_json,
     complex_laplacians,
     complex_to_json,
+    incidence_matrix,
 )
 from .spikes import SpikeDataset, bin_labels, bin_spikes, binarize_rows
 
@@ -262,6 +263,38 @@ def _column_patterns(bits):
     return first, pattern_of_bin.reshape(-1)
 
 
+class FactoredHalf:
+    """A Hodge-Laplacian half applied through its incidence factor ``B``:
+    ``B.T @ (B @ x)`` for a lower half (``B = B_k``) and ``B @ (B.T @ x)``
+    for an upper one (``B = B_{k+1}``). The half is symmetric, so ``.T``
+    is the operator itself."""
+
+    def __init__(self, b, lower):
+        b = b.astype(np.float64)
+        b_t = b.T.tocsr()
+        b = b.tocsr()
+        self.inner, self.outer = (b, b_t) if lower else (b_t, b)
+
+    def __matmul__(self, x):
+        return self.outer @ (self.inner @ x)
+
+    @property
+    def T(self):
+        return self
+
+
+def _half_operator(half, b, lower):
+    """The float64 half, or its ``FactoredHalf`` when that does less work:
+    ``2 * nnz(B) + n_mid < nnz(half)``, where ``n_mid`` is the length of
+    the intermediate cochain. ``b`` is None where the half has no factor
+    (k = 0 lower, top-dimension upper)."""
+    if b is not None:
+        n_mid = b.shape[0] if lower else b.shape[1]
+        if 2 * b.nnz + n_mid < half.nnz:
+            return FactoredHalf(b, lower)
+    return half.astype(np.float64)
+
+
 class Decoder:
     """What every decoder shares: the config it was built with, its named
     parameters drawn by ``_init_params`` (``load_checkpoint`` replaces
@@ -303,11 +336,17 @@ class ScrnnModel(Decoder):
         self.n_filters = cfg.n_filters
         self.degree = cfg.degree
         self.n_col = cfg.n_col
-        # Lower and upper Laplacian half per dimension, as float64.
-        self.laps = {
-            k: (lap.lower.astype(np.float64), lap.upper.astype(np.float64))
-            for k, lap in complex_laplacians(complex_).items()
-        }
+        # Lower and upper Laplacian half per dimension: a float64 CSR
+        # matrix, or a FactoredHalf where the factor is much sparser than
+        # the half (the dense lower halves of large complexes).
+        self.laps = {}
+        for k, lap in complex_laplacians(complex_).items():
+            b_low = incidence_matrix(complex_, k) if k else None
+            b_up = incidence_matrix(complex_, k + 1) if k < complex_.dim else None
+            self.laps[k] = (
+                _half_operator(lap.lower, b_low, lower=True),
+                _half_operator(lap.upper, b_up, lower=False),
+            )
         super().__init__(complex_.total_simplices, cfg)
 
     def _init_params(self, cfg, rng):
@@ -339,16 +378,23 @@ class ScrnnModel(Decoder):
         return [self.params[name] for name in self._filter_names(li, fi, k)]
 
     def _laplacian_powers(self, k, x, product):
-        """``x`` followed by its lower, then its upper Laplacian powers up to
+        """Yield ``x``, then its lower, then its upper Laplacian powers up to
         the filter degree: the filter terms in their fixed order.
         ``product(lap, x)`` multiplies: ``@`` on arrays, ``ad.spmm`` on Vars."""
         lower, upper = self.laps[k]
-        out = [x]
+        yield x
         for lap, present in ((lower, k >= 1), (upper, k < self.complex.dim)):
             power = x
             for _ in range(self.degree if present else 0):
                 power = product(lap, power)
-                out.append(power)
+                yield power
+
+    def _stacked_powers(self, k, x):
+        """The Laplacian powers of the array ``x`` as one
+        ``(n_terms, *x.shape)`` array, filled one power at a time."""
+        out = np.empty((len(self._filter_names(0, 0, k)), *x.shape))
+        for term, power in zip(out, self._laplacian_powers(k, x, operator.matmul)):
+            term[...] = power
         return out
 
     def _input_terms(self, prep: PreparedData):
@@ -370,12 +416,10 @@ class ScrnnModel(Decoder):
         if self.degree in prep.terms:
             return prep.terms[self.degree]
         first, pattern_of_bin = _column_patterns(prep.bits)
-        counts = prep.counts.astype(np.float64)
-        terms = {0: np.stack(self._laplacian_powers(0, counts, operator.matmul))}
+        terms = {0: self._stacked_powers(0, prep.counts.astype(np.float64))}
         for k in range(1, self.complex.dim + 1):
             act = coactivity_matrix(self.complex, prep.bits[:, first], k)
-            powers = self._laplacian_powers(k, act.astype(np.float64), operator.matmul)
-            terms[k] = np.stack(powers)
+            terms[k] = self._stacked_powers(k, act.astype(np.float64))
         prep.terms[self.degree] = terms, pattern_of_bin
         return terms, pattern_of_bin
 
@@ -446,7 +490,9 @@ class ScrnnModel(Decoder):
             bins[:, None] + np.arange(self.n_col), return_inverse=True
         )
         pats, pat_pos = np.unique(pattern_of_bin[bins], return_inverse=True)
-        first = {k: terms[k][:, :, cols if k == 0 else pats] for k in terms}
+        # np.take returns a C-contiguous block, which ad.lincomb reshapes
+        # without a copy; the fancy index would not.
+        first = {k: np.take(terms[k], cols if k == 0 else pats, axis=2) for k in terms}
         positions = (
             col_pos.reshape(len(bins), self.n_col),
             pat_pos.reshape(-1),

@@ -1,10 +1,14 @@
 """Finite-difference checks for every primitive in the autodiff engine."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from topodecode import autodiff as ad
+from topodecode.complexes import SimplicialComplex, incidence_matrix
+from topodecode.model import FactoredHalf
 
 
 def fd_check(build_loss, leaves, eps=1e-6, tol=1e-6):
@@ -45,6 +49,22 @@ def test_spmm_and_scale():
     s = ad.var(0.7)
     t = rng.normal(size=(6, 3))
     fd_check(lambda: ad.mse(ad.scale(s, ad.spmm(m, x)), t), [x, s])
+
+
+@pytest.mark.parametrize("k, lower", [(1, True), (2, True), (1, False)])
+def test_spmm_through_factored_half(k, lower):
+    """Gradients through a FactoredHalf, applied twice as in a degree-2
+    filter, match central differences."""
+    rng = np.random.default_rng(4)
+    S = SimplicialComplex(
+        4, {1: list(combinations(range(4), 2)), 2: [(0, 1, 2), (0, 1, 3), (1, 2, 3)]}
+    )
+    op = FactoredHalf(incidence_matrix(S, k if lower else k + 1), lower)
+    n = S.n_simplices(k)
+    x = ad.var(rng.normal(size=(n, 3)))
+    s = ad.var(0.7)
+    t = rng.normal(size=(n, 3))
+    fd_check(lambda: ad.mse(ad.scale(s, ad.spmm(op, ad.relu(ad.spmm(op, x)))), t), [x, s])
 
 
 def test_activations():

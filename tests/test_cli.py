@@ -3,6 +3,7 @@ import json
 import pytest
 
 from topodecode.cli import main
+from topodecode.config import config_from_dict
 
 MANIFEST_KEYS = {
     "command", "args", "config", "seed", "inputs", "outputs", "version", "duration_s",
@@ -62,8 +63,11 @@ def small_hd_data(tmp_path_factory):
         ({"epochs": ["x"]}, "epochs"),
         ({"epochs": [None]}, "epochs"),
         ([1, 2], "search space"),
+        ({"epochs": [2.7]}, "config key 'epochs'"),
+        ({"hidden_size": [True]}, "config key 'hidden_size'"),
     ],
-    ids=["unknown_key", "bad_value", "null_value", "not_an_object"],
+    ids=["unknown_key", "bad_value", "null_value", "not_an_object", "fractional_int",
+         "boolean_int"],
 )
 def test_search_rejects_bad_space(small_hd_data, tmp_path, capsys, space, needle):
     space_path = tmp_path / "space.json"
@@ -74,3 +78,15 @@ def test_search_rejects_bad_space(small_hd_data, tmp_path, capsys, space, needle
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert needle in err[0]
+
+
+@pytest.mark.parametrize("raw", [2.7, -0.5, True, False, float("nan"), float("inf")])
+def test_int_fields_reject_booleans_and_fractions(raw):
+    with pytest.raises(ValueError, match=r"config key 'epochs': expected an integer"):
+        config_from_dict({"epochs": raw})
+
+
+def test_int_fields_accept_integral_values():
+    cfg = config_from_dict({"epochs": 2.0, "hidden_size": "16", "seed": 3})
+    assert (cfg.epochs, cfg.hidden_size, cfg.seed) == (2, 16, 3)
+    assert all(type(v) is int for v in (cfg.epochs, cfg.hidden_size, cfg.seed))

@@ -4,10 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import sparse
 
 import oracle
 from oracle import cochain_from_bin
+from strategies import face_closed_complexes
 from topodecode.complexes import (
     SimplicialComplex,
     build_complex,
@@ -138,6 +140,16 @@ class TestLaplacian:
                 full = (lap.lower + lap.upper).toarray()
                 np.testing.assert_array_equal(full, full.T)
                 assert np.linalg.eigvalsh(full.astype(np.float64)).min() >= -1e-9
+
+    @given(face_closed_complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_boundary_of_a_boundary_is_zero(self, complex_and_bits):
+        """B_k B_{k+1} = 0 on every face-closed complex, as exact integers."""
+        S, _ = complex_and_bits
+        for k in range(1, S.dim):
+            prod = incidence_matrix(S, k) @ incidence_matrix(S, k + 1)
+            assert prod.shape == (S.n_simplices(k - 1), S.n_simplices(k + 1))
+            assert not np.any(prod.toarray())
 
     def test_face_closure_invariant(self):
         rng = np.random.default_rng(3)
