@@ -9,6 +9,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -160,6 +161,13 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint was trained on {cfg.kind!r} data but {args.data} "
             f"holds {dataset.kind!r} data"
+        )
+    # A spike file has no lines for neurons silent to its end, so its
+    # highest id can fall short of the model's neuron count.
+    silent = model.n_neurons - dataset.n_neurons
+    if silent > 0:
+        dataset = dataclasses.replace(
+            dataset, neurons=dataset.neurons + [np.empty(0)] * silent
         )
     os.makedirs(args.out, exist_ok=True)
     prep = prepare(dataset, cfg, arch=cfg.arch, complex_=model.complex)

@@ -57,6 +57,7 @@ class SimplicialComplex:
         }
         self._validate()
         self._incidence: dict[int, sparse.csc_matrix] = {}
+        self._vertices: dict[int, np.ndarray] = {}
 
     def _validate(self):
         for k, lst in self.simplices.items():
@@ -199,7 +200,12 @@ def coactivity_matrix(S: SimplicialComplex, bits: np.ndarray, k: int) -> np.ndar
     k-simplex is active in the bin (nonzero bit = active), else 0. A
     dimension without simplices gives shape ``(0, N_b)``."""
     active = np.asarray(bits) != 0
-    vertices = np.array(S.simplices.get(k, ()), dtype=np.intp).reshape(-1, k + 1)
+    vertices = S._vertices.get(k)
+    if vertices is None:
+        # The (N_k, k+1) vertex array, built from the tuple list once.
+        vertices = np.array(S.simplices.get(k, ()), dtype=np.intp).reshape(-1, k + 1)
+        vertices.setflags(write=False)
+        S._vertices[k] = vertices
     out = active[vertices[:, 0]]
     for j in range(1, k + 1):
         out &= active[vertices[:, j]]

@@ -6,7 +6,9 @@ the config's seed by the model itself, so a single reverse pass yields every
 gradient. Each model has one graph forward: it serves training, and
 prediction evaluates it under ``autodiff.no_grad``. The SCRNN's k >= 1
 inputs depend only on a bin's binarized column, so its forward filters each
-distinct activity pattern of a batch once.
+distinct activity pattern of a batch once. Its first layer's input terms
+are computed per batch from those distinct columns, so no array the size of
+the recording is kept beside the prepared data.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +55,9 @@ ARCHS = ("scrnn", "ffnn", "rnn", "gnn")
 class PreparedData:
     """Binned, binarized, and labeled data ready for window-based decoding.
 
-    The SCRNN's k >= 1 inputs are not stored here: ``ScrnnModel`` computes
-    the coactivity of each distinct column of ``bits`` with its input terms.
+    Nothing derived per model is stored here: ``ScrnnModel`` computes its
+    input terms, coactivity included, per batch from ``counts`` and
+    ``bits``.
     """
 
     kind: str
@@ -69,9 +72,6 @@ class PreparedData:
     test_starts: np.ndarray
     complex: SimplicialComplex | None = None
     norm: tuple | None = None
-    # ScrnnModel input terms keyed by filter degree. Left out of __init__ so
-    # that dataclasses.replace starts with an empty cache.
-    terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_bins(self) -> int:
@@ -302,6 +302,8 @@ class Decoder:
     ``forward`` evaluated without recording."""
 
     complex = None
+    # Consecutive count columns a bin reads; the SCRNN sets its config's.
+    n_col = 1
 
     def __init__(self, input_width, cfg):
         self.kind = cfg.kind
@@ -311,13 +313,27 @@ class Decoder:
         self.dropout = cfg.dropout
         self.params = self._init_params(cfg, np.random.default_rng(cfg.seed))
 
+    @property
+    def n_neurons(self) -> int:
+        """Rows of the count matrix the model reads."""
+        return self.input_width
+
     def loss_batch(self, prep, starts, training=False, rng=None):
         pred, targets = self.forward(prep, starts, training, rng)
         return ad.mse(pred, targets), pred
 
     def predict(self, prep, starts, chunk=256) -> np.ndarray:
-        """Model outputs for a list of window starts, shape (2, n)."""
+        """Model outputs for a list of window starts, shape (2, n).
+
+        A window reads ``seq_len + n_col - 1`` consecutive bins, so a start
+        outside ``[0, n_bins - seq_len - n_col + 1]`` is rejected."""
         starts = np.asarray(starts)
+        if starts.size == 0:
+            return np.zeros((2, 0))
+        last_valid = prep.n_bins - self.seq_len - self.n_col + 1
+        bad = (starts < 0) | (starts > last_valid)
+        if bad.any():
+            raise ValueError(f"window start {starts[bad][0]} outside [0, {last_valid}]")
         outputs = []
         with ad.no_grad():
             for lo in range(0, len(starts), chunk):
@@ -348,6 +364,10 @@ class ScrnnModel(Decoder):
                 _half_operator(lap.upper, b_up, lower=False),
             )
         super().__init__(complex_.total_simplices, cfg)
+
+    @property
+    def n_neurons(self) -> int:
+        return self.complex.n_vertices
 
     def _init_params(self, cfg, rng):
         """Each filter's weights uniform within +-1/sqrt(its term count),
@@ -390,38 +410,36 @@ class ScrnnModel(Decoder):
                 yield power
 
     def _stacked_powers(self, k, x):
-        """The Laplacian powers of the array ``x`` as one
-        ``(n_terms, *x.shape)`` array, filled one power at a time."""
+        """The Laplacian powers of the array ``x`` as one float64
+        ``(n_terms, *x.shape)`` array: ``x`` is written into ``out[0]`` and
+        each power is computed from the one before it."""
         out = np.empty((len(self._filter_names(0, 0, k)), *x.shape))
-        for term, power in zip(out, self._laplacian_powers(k, x, operator.matmul)):
+        out[0] = x
+        powers = self._laplacian_powers(k, out[0], operator.matmul)
+        next(powers)  # out[0] itself
+        for term, power in zip(out[1:], powers):
             term[...] = power
         return out
 
-    def _input_terms(self, prep: PreparedData):
-        """Laplacian powers of the input cochains; returns
-        ``(terms, pattern_of_bin)``.
+    def _input_terms(self, prep: PreparedData, cols, pattern_bins):
+        """Laplacian powers of the first layer's input cochains, keyed by
+        dimension.
 
         ``terms[0]`` holds the powers of the spike counts, one column per
-        bin. For k >= 1 the input cochain is the coactivity of the bin's
-        binarized column, so it is computed here once per distinct column of
-        ``prep.bits``: ``terms[k]`` holds one column per distinct column,
-        and bin ``b`` reads column ``pattern_of_bin[b]``. The first layer's
-        filters only scale these matrices, so they are computed once per
-        dataset and gathered per batch; each column of a sparse product
-        depends on the same column of the input alone, so the gathered
-        columns equal per-bin products bit for bit.
+        entry of ``cols``. For k >= 1 the input cochain is the coactivity
+        of a bin's binarized column, so ``terms[k]`` holds one column per
+        entry of ``pattern_bins``, a bin holding each distinct pattern. The
+        counts and coactivities are integers, and each column of a sparse
+        product depends on the same input column alone, so these columns
+        equal per-bin products bit for bit.
         """
-        if self.complex != prep.complex:
+        if self.complex is not prep.complex and self.complex != prep.complex:
             raise ValueError("the model's complex differs from the prepared data's")
-        if self.degree in prep.terms:
-            return prep.terms[self.degree]
-        first, pattern_of_bin = _column_patterns(prep.bits)
-        terms = {0: self._stacked_powers(0, prep.counts.astype(np.float64))}
+        terms = {0: self._stacked_powers(0, prep.counts[:, cols])}
+        bits = prep.bits[:, pattern_bins]
         for k in range(1, self.complex.dim + 1):
-            act = coactivity_matrix(self.complex, prep.bits[:, first], k)
-            terms[k] = self._stacked_powers(k, act.astype(np.float64))
-        prep.terms[self.degree] = terms, pattern_of_bin
-        return terms, pattern_of_bin
+            terms[k] = self._stacked_powers(k, coactivity_matrix(self.complex, bits, k))
+        return terms
 
     def _sc_forward(self, first_terms):
         """The simplicial stack, one column per column of ``first_terms``;
@@ -476,29 +494,28 @@ class ScrnnModel(Decoder):
         and where the windows read them; returns ``(terms, positions)``.
 
         ``terms[0]`` has one column per distinct count column of the batch
-        and ``terms[k]``, k >= 1, one per distinct activity pattern.
+        and ``terms[k]``, k >= 1, one per distinct activity pattern of its
+        bins, in lexicographic order. They are computed per batch, so a
+        batch costs memory in its own size, not the recording's.
         ``positions`` is ``(col_pos, pat_pos, bin_pos)``: bin ``i`` of the
         batch's distinct bins reads count columns ``col_pos[i]`` and pattern
         ``pat_pos[i]``, and window ``w`` reads bin ``bin_pos[w, t]`` at step
         ``t``.
         """
-        terms, pattern_of_bin = self._input_terms(prep)
         bins, bin_pos = np.unique(
             np.asarray(starts)[:, None] + np.arange(self.seq_len), return_inverse=True
         )
         cols, col_pos = np.unique(
             bins[:, None] + np.arange(self.n_col), return_inverse=True
         )
-        pats, pat_pos = np.unique(pattern_of_bin[bins], return_inverse=True)
-        # np.take returns a C-contiguous block, which ad.lincomb reshapes
-        # without a copy; the fancy index would not.
-        first = {k: np.take(terms[k], cols if k == 0 else pats, axis=2) for k in terms}
+        first, pat_pos = _column_patterns(prep.bits[:, bins])
+        terms = self._input_terms(prep, cols, bins[first])
         positions = (
             col_pos.reshape(len(bins), self.n_col),
-            pat_pos.reshape(-1),
+            pat_pos,
             bin_pos.reshape(-1, self.seq_len),
         )
-        return first, positions
+        return terms, positions
 
     def forward(self, prep, starts, training=False, rng=None):
         """Build the graph; returns (prediction Var, targets array).
@@ -538,6 +555,10 @@ class FfnnModel(Decoder):
 
     arch = "ffnn"
 
+    @property
+    def n_neurons(self) -> int:
+        return self.input_width // self.seq_len
+
     def _init_params(self, cfg, rng):
         params = {}
         in_dim = self.input_width
@@ -554,7 +575,7 @@ class FfnnModel(Decoder):
         return params
 
     def _batch_inputs(self, prep, starts):
-        _check_neurons(self.input_width // self.seq_len, prep)
+        _check_neurons(self.n_neurons, prep)
         starts = np.asarray(starts)
         cols = (starts[:, None] + np.arange(self.seq_len)[None, :]).reshape(-1)
         window = prep.counts[:, cols].astype(np.float64)
@@ -585,7 +606,7 @@ class RnnModel(Decoder):
         return _rnn_params(self.input_width, cfg, rng)
 
     def forward(self, prep, starts, training=False, rng=None):
-        _check_neurons(self.input_width, prep)
+        _check_neurons(self.n_neurons, prep)
         starts = np.asarray(starts)
         w_h = self.params["rnn.l0.w_h"]
         seq_inputs = [
@@ -617,9 +638,6 @@ def build_model(arch: str, prep: PreparedData, cfg):
 def scrnn_predict(model: ScrnnModel, prep: PreparedData, start: int) -> np.ndarray:
     """Decode one window of ``seq_len`` consecutive bins starting at
     ``start``; the prediction targets the window's final bin."""
-    last_valid = prep.n_bins - model.seq_len - model.n_col + 1
-    if not 0 <= start <= last_valid:
-        raise ValueError(f"window start {start} outside [0, {last_valid}]")
     return model.predict(prep, np.array([start]))[:, 0]
 
 

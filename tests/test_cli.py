@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -90,3 +91,35 @@ def test_int_fields_accept_integral_values():
     cfg = config_from_dict({"epochs": 2.0, "hidden_size": "16", "seed": 3})
     assert (cfg.epochs, cfg.hidden_size, cfg.seed) == (2, 16, 3)
     assert all(type(v) is int for v in (cfg.epochs, cfg.hidden_size, cfg.seed))
+
+
+@pytest.mark.parametrize("arch", ["scrnn", "rnn", "ffnn"])
+def test_eval_pads_trailing_silent_neurons(small_hd_data, tmp_path, capsys, arch):
+    """A session whose highest neurons never fire has no spike lines for
+    them: eval pads it to the checkpoint's neuron count. A session naming
+    a neuron beyond that count is still rejected by name."""
+    train_cfg = tmp_path / "train.txt"
+    train_cfg.write_text(f"arch = {arch}\nepochs = 1\nhidden_size = 8\nsc_layers = 1\n")
+    ck = tmp_path / "ck"
+    assert main(["train", "--data", str(small_hd_data), "--out", str(ck),
+                 "--config", str(train_cfg)]) == 0
+    lines = (small_hd_data / "spikes.csv").read_text().splitlines(keepends=True)
+    labels = (small_hd_data / "labels.csv").read_text()
+    header, rows = lines[0], lines[1:]
+    silent, extra = tmp_path / "silent", tmp_path / "extra"
+    for out, spikes in (
+        (silent, [r for r in rows if not r.startswith(("8,", "9,"))]),
+        (extra, rows + ["10,1.000000\n"]),
+    ):
+        out.mkdir()
+        (out / "spikes.csv").write_text(header + "".join(spikes))
+        (out / "labels.csv").write_text(labels)
+    assert main(["eval", "--checkpoint", str(ck), "--data", str(silent),
+                 "--out", str(tmp_path / "ev")]) == 0
+    summary = json.loads((tmp_path / "ev" / "summary.json").read_text())
+    assert summary["n_bins"] > 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ck), "--data", str(extra),
+                 "--out", str(tmp_path / "ev2")]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"10 (vertices|neurons) but the (dataset|data) has 11", err), err

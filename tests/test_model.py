@@ -23,7 +23,6 @@ from topodecode.model import (
     scrnn_predict,
 )
 from topodecode.synth import HdSimConfig, simulate_hd
-from topodecode.train import train
 
 
 def small_hd_prep(arch="scrnn", seed=3, duration=60.0, **cfg_kw):
@@ -167,6 +166,31 @@ class TestScrnnForward:
         assert 0.0 <= angle < 360.0
 
 
+class TestWindowStarts:
+    @pytest.mark.parametrize("arch", ["scrnn", "gnn", "rnn", "ffnn"])
+    def test_no_starts_give_no_columns(self, arch):
+        prep, cfg = small_hd_prep(arch=arch)
+        out = build_model(arch, prep, cfg).predict(prep, np.array([], dtype=np.int64))
+        assert out.shape == (2, 0)
+
+    @pytest.mark.parametrize("arch", ["scrnn", "rnn", "ffnn"])
+    @pytest.mark.parametrize("n_col", [1, 2])
+    def test_starts_outside_range_rejected(self, arch, n_col):
+        """Both ends of ``[0, n_bins - seq_len - n_col + 1]`` decode; one
+        step past either end is rejected, also inside a longer list. Only
+        the SCRNN reads ``n_col`` count columns per bin."""
+        prep, cfg = small_hd_prep(arch=arch, n_col=n_col)
+        model = build_model(arch, prep, cfg)
+        last = prep.n_bins - cfg.seq_len - (n_col if arch == "scrnn" else 1) + 1
+        assert model.predict(prep, [0, last]).shape == (2, 2)
+        for bad in (-1, last + 1):
+            with pytest.raises(ValueError, match=rf"window start {bad} outside \[0, {last}\]"):
+                model.predict(prep, [0, bad, last])
+        if arch == "scrnn":
+            with pytest.raises(ValueError, match=rf"window start -1 outside \[0, {last}\]"):
+                scrnn_predict(model, prep, -1)
+
+
 class TestGraphFreePredict:
     @pytest.mark.parametrize(
         "arch, cfg_kw",
@@ -221,7 +245,8 @@ class TestGraphFreePredict:
                 ds = simulate_hd(HdSimConfig(n_neurons=10, duration=60.0, seed=eval_seed))
                 prep = prepare(ds, cfg, arch=arch, complex_=model.complex)
                 assert any(col.tobytes() not in seen for col in prep.bits.T)
-            terms, pattern_of_bin = model._input_terms(prep)
+            first, pattern_of_bin = _column_patterns(prep.bits)
+            terms = model._input_terms(prep, np.arange(prep.n_bins), first)
             top = prep.complex.dim
             assert top == (1 if arch == "gnn" else 2)
             laps = complex_laplacians(prep.complex)
@@ -359,15 +384,6 @@ class TestCheckpoint:
         assert (tmp_path / "again" / "weights.json").read_bytes() == weights
         if arch in ("scrnn", "gnn"):
             assert loaded.complex == prep.complex
-
-    def test_loaded_model_reuses_input_terms(self, tmp_path):
-        prep, cfg = small_hd_prep(epochs=1)
-        model, _ = train(build_model("scrnn", prep, cfg), prep, cfg)
-        terms = model._input_terms(prep)
-        save_checkpoint(tmp_path / "ck", model, cfg)
-        loaded, _ = load_checkpoint(tmp_path / "ck")
-        assert loaded._input_terms(prep) is terms
-        assert list(prep.terms) == [cfg.degree]
 
     @pytest.mark.parametrize("arch, layer, matrix, name", [
         ("ffnn", 0, "w", "fc.l0.w"), ("rnn", 0, "w_h", "rnn.l0.w_h"),
