@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
         fh.write("epoch,train_loss,val_loss\n")
         for row in curve:
             fh.write(f"{row['epoch']},{row['train_loss']:.8f},{row['val_loss']:.8f}\n")
-    outputs = [os.path.join(args.out, "weights.json"), curve_path]
+    outputs = [os.path.join(args.out, "weights.npz"), curve_path]
     _write_manifest(
         args.out,
         "train",

@@ -657,56 +657,36 @@ def set_param_values(model, values: dict[str, np.ndarray]) -> None:
         p.value = np.array(values[name], copy=True)
 
 
-# How ``repr`` and ``json.dumps`` write the non-finite floats.
-_JSON_NON_FINITE = (("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"))
-
-
-def _weights_json(model) -> str:
-    """``weights.json``: one entry per SC scalar and per dense matrix cell,
-    in sorted parameter order. Each matrix row is formatted through one
-    template holding a ``%r`` per cell; the bytes are those of
-    ``json.dumps(payload, separators=(",", ":"))`` of the entry dicts, so
-    checkpoints do not change."""
-    sc, dense = [], []
-    for name in sorted(model.params):
-        value = model.params[name].value
-        if name.startswith("sc."):
-            li, fi, kk, term = name.split(".")[1:]
-            sc.append(
-                f'{{"layer":{int(li[1:]) + 1},"filter":{int(fi[1:]) + 1},'
-                f'"dim":{int(kk[1:])},"term":"{term}","value":{float(value)!r}}}'
-            )
-            continue
-        if name.startswith("head."):
-            layer = model.nn_layers
-            matrix = "w_out" if name.endswith("w") else "b_out"
-        else:
-            _, li, matrix = name.split(".")
-            layer = int(li[1:])
-        cells = [f',"col":{c},"value":%r}}' for c in range(value.shape[1])]
-        for r, row in enumerate(value.tolist()):
-            head = f'{{"layer":{layer},"matrix":"{matrix}","row":{r}'
-            dense.append((head + f",{head}".join(cells)) % tuple(row))
-    text = (
-        f'{{"arch":"{model.arch}","sc":[{",".join(sc)}],'
-        f'"dense":[{",".join(dense)}]}}'
-    )
-    for py, js in _JSON_NON_FINITE:
-        text = text.replace(f'"value":{py}}}', f'"value":{js}}}')
-    return text
-
-
 def save_checkpoint(dirpath, model, cfg) -> None:
-    """Write complex dump (when present), weight JSON, and a config echo."""
+    """Write the complex dump (when present), ``weights.npz`` (one float64
+    array per parameter, keyed by name) and a config echo."""
     from .config import write_config
 
     os.makedirs(dirpath, exist_ok=True)
     if model.complex is not None:
         with open(os.path.join(dirpath, "complex.json"), "w", encoding="utf-8") as fh:
             fh.write(complex_to_json(model.complex))
-    with open(os.path.join(dirpath, "weights.json"), "w", encoding="utf-8") as fh:
-        fh.write(_weights_json(model))
+    # A file handle, since ``np.savez`` appends ``.npz`` to a path lacking it.
+    with open(os.path.join(dirpath, "weights.npz"), "wb") as fh:
+        np.savez(fh, **param_values(model))
     write_config(cfg, os.path.join(dirpath, "config.txt"))
+
+
+def _json_params(path, arch):
+    """Parameters by name from an older checkpoint's ``weights.json``: one
+    entry per SC scalar and per dense matrix cell."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if payload["arch"] != arch:
+        raise ValueError(
+            f"{path} holds a {payload['arch']!r} model but config.txt names {arch!r}"
+        )
+    params = {
+        f"sc.l{e['layer'] - 1}.f{e['filter'] - 1}.k{e['dim']}.{e['term']}": ad.var(e["value"])
+        for e in payload["sc"]
+    }
+    params.update(_dense_params_from_entries(payload["dense"]))
+    return params
 
 
 def _dense_params_from_entries(entries):
@@ -731,23 +711,27 @@ def _dense_params_from_entries(entries):
 
 
 def load_checkpoint(dirpath):
-    """Rebuild (model, cfg) from a checkpoint directory."""
+    """Rebuild (model, cfg) from a checkpoint directory: ``weights.npz``,
+    or an older checkpoint's ``weights.json`` when there is no npz."""
     from .config import read_config
 
     cfg = read_config(os.path.join(dirpath, "config.txt"))
-    with open(os.path.join(dirpath, "weights.json"), "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    arch = payload["arch"]
+    arch = cfg.arch
     if arch not in ARCHS:
         raise ValueError(f"unknown architecture {arch!r} in checkpoint")
-    params = {
-        f"sc.l{e['layer'] - 1}.f{e['filter'] - 1}.k{e['dim']}.{e['term']}": ad.var(e["value"])
-        for e in payload["sc"]
-    }
-    params.update(_dense_params_from_entries(payload["dense"]))
+    npz = os.path.join(dirpath, "weights.npz")
+    if os.path.exists(npz):
+        # Dtypes as stored, for ``_check_params``; nothing is unpickled.
+        try:
+            with np.load(npz, allow_pickle=False) as arrays:
+                params = {name: ad.Var(arrays[name]) for name in arrays.files}
+        except ValueError as exc:
+            raise ValueError(f"{npz}: {exc}") from exc
+    else:
+        params = _json_params(os.path.join(dirpath, "weights.json"), arch)
     first = "fc.l0.w" if arch == "ffnn" else "rnn.l0.w_h"
     for name in ("head.w", "head.b", first):
-        if name not in params:
+        if name not in params or params[name].value.ndim != 2:
             raise ValueError(f"checkpoint has no {name} matrix")
 
     if arch in ("scrnn", "gnn"):
@@ -763,8 +747,8 @@ def load_checkpoint(dirpath):
 
 
 def _check_params(drawn, loaded):
-    """Reject loaded weights whose names or shapes differ from those the
-    config draws, naming the first offending parameter."""
+    """Reject loaded weights whose names, shapes or dtypes differ from those
+    the config draws, naming the first offending parameter."""
     for name in sorted(drawn.keys() | loaded.keys()):
         if name not in loaded:
             raise ValueError(f"checkpoint has no parameter {name}")
@@ -772,8 +756,13 @@ def _check_params(drawn, loaded):
             raise ValueError(
                 f"checkpoint parameter {name} is not part of the configured model"
             )
-        want, got = drawn[name].value.shape, loaded[name].value.shape
-        if want != got:
+        want, got = drawn[name].value, loaded[name].value
+        if want.shape != got.shape:
             raise ValueError(
-                f"checkpoint parameter {name} has shape {got}, the config implies {want}"
+                f"checkpoint parameter {name} has shape {got.shape}, "
+                f"the config implies {want.shape}"
+            )
+        if want.dtype != got.dtype:
+            raise ValueError(
+                f"checkpoint parameter {name} has dtype {got.dtype}, expected {want.dtype}"
             )

@@ -12,15 +12,12 @@ it stays out of the package because no production path needs a second copy.
 ``sc_stack`` and ``rnn_stack`` read a model's parameters by name into the
 plain dataclasses below.
 
-Two more references live here for the same reason: ``coactivity_matrix``
-in its vertex-count form (a sparse membership matrix times the bits), and
-``weights_json``, the ``json.dumps`` of ``weights.json``'s entry dicts that
-the package's template writer must reproduce byte for byte.
+One more reference lives here for the same reason: ``coactivity_matrix``
+in its vertex-count form (a sparse membership matrix times the bits).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,50 +294,3 @@ def rnn_stack(model) -> RnnStack:
         w_out=params["head.w"].value,
         b_out=params["head.b"].value.reshape(-1),
     )
-
-
-def weight_entries(model):
-    """``weights.json``'s entry dicts: one per SC scalar, one per dense
-    matrix cell, in sorted parameter order."""
-    sc_entries, dense_entries = [], []
-    for name in sorted(model.params):
-        value = model.params[name].value
-        if name.startswith("sc."):
-            li, fi, kk, term = name.split(".")[1:]
-            sc_entries.append(
-                {
-                    "layer": int(li[1:]) + 1,
-                    "filter": int(fi[1:]) + 1,
-                    "dim": int(kk[1:]),
-                    "term": term,
-                    "value": float(value),
-                }
-            )
-        else:
-            if name.startswith("rnn.") or name.startswith("fc."):
-                layer = int(name.split(".")[1][1:])
-                matrix = name.split(".")[2]
-            else:  # head
-                layer = model.nn_layers
-                matrix = "w_out" if name.endswith("w") else "b_out"
-            rows, cols = value.shape
-            for r in range(rows):
-                for c in range(cols):
-                    dense_entries.append(
-                        {
-                            "layer": layer,
-                            "matrix": matrix,
-                            "row": r,
-                            "col": c,
-                            "value": float(value[r, c]),
-                        }
-                    )
-    return sc_entries, dense_entries
-
-
-def weights_json(model) -> str:
-    """The bytes ``save_checkpoint`` must write: ``json.dumps`` of the
-    entry dicts."""
-    sc_entries, dense_entries = weight_entries(model)
-    payload = {"arch": model.arch, "sc": sc_entries, "dense": dense_entries}
-    return json.dumps(payload, separators=(",", ":"))

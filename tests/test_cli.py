@@ -27,7 +27,7 @@ def test_simulate_train_eval(tmp_path):
 
     for out, command, files in (
         (data, "simulate", []),
-        (ck, "train", ["weights.json", "complex.json", "config.txt", "loss_curve.csv"]),
+        (ck, "train", ["weights.npz", "complex.json", "config.txt", "loss_curve.csv"]),
         (ev, "eval", ["report.csv", "summary.json", "plot.svg"]),
     ):
         manifest = json.loads((out / "manifest.json").read_text())

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -366,6 +369,23 @@ class TestBaselines:
             assert np.all(np.isfinite(out))
 
 
+LEGACY_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "legacy_scrnn"
+
+
+def edit_npz(path, edit):
+    """Rewrite ``weights.npz`` after ``edit`` changed its dict of arrays."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def drop_prefix(arrays, prefix):
+    for name in [n for n in arrays if n.startswith(prefix)]:
+        del arrays[name]
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
     def test_roundtrip_preserves_predictions(self, tmp_path, arch):
@@ -380,51 +400,58 @@ class TestCheckpoint:
         after = loaded.predict(prep, starts)
         np.testing.assert_array_equal(before, after)
         save_checkpoint(tmp_path / "again", loaded, cfg_back)
-        weights = (out / "weights.json").read_bytes()
-        assert (tmp_path / "again" / "weights.json").read_bytes() == weights
+        weights = (out / "weights.npz").read_bytes()
+        assert (tmp_path / "again" / "weights.npz").read_bytes() == weights
         if arch in ("scrnn", "gnn"):
             assert loaded.complex == prep.complex
 
-    @pytest.mark.parametrize("arch, layer, matrix, name", [
-        ("ffnn", 0, "w", "fc.l0.w"), ("rnn", 0, "w_h", "rnn.l0.w_h"),
-        ("scrnn", 2, "w_out", "head.w"),
+    @pytest.mark.parametrize("arch, name", [
+        pytest.param("ffnn", "fc.l0.w", id="ffnn-0-w-fc.l0.w"),
+        pytest.param("rnn", "rnn.l0.w_h", id="rnn-0-w_h-rnn.l0.w_h"),
+        pytest.param("scrnn", "head.w", id="scrnn-2-w_out-head.w"),
     ])
-    def test_missing_matrix_named(self, tmp_path, arch, layer, matrix, name):
+    def test_missing_matrix_named(self, tmp_path, arch, name):
         prep, cfg = small_hd_prep(arch=arch)
         save_checkpoint(tmp_path, build_model(arch, prep, cfg), cfg)
-        path = tmp_path / "weights.json"
-        payload = json.loads(path.read_text())
-        payload["dense"] = [
-            e for e in payload["dense"] if (e["layer"], e["matrix"]) != (layer, matrix)
-        ]
-        path.write_text(json.dumps(payload))
+        edit_npz(tmp_path / "weights.npz", lambda p: p.pop(name))
         with pytest.raises(ValueError, match=f"no {name} matrix"):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("arch, cfg_kw, edit, message", [
         (
             "scrnn", {},
-            lambda p: p.update(sc=[e for e in p["sc"] if e["layer"] != 2]),
+            lambda p: drop_prefix(p, "sc.l1."),
             r"checkpoint has no parameter sc\.l1\.f0\.k0\.up1$",
         ),
         (
             "rnn", dict(nn_layers=2),
-            lambda p: p.update(dense=[e for e in p["dense"] if e["layer"] != 1]),
+            lambda p: drop_prefix(p, "rnn.l1."),
             r"checkpoint has no parameter rnn\.l1\.b_c$",
         ),
         (
             "rnn", dict(nn_layers=2),
-            lambda p: p["dense"].append(
-                {"layer": 5, "matrix": "w_c", "row": 0, "col": 0, "value": 1.0}
-            ),
+            lambda p: p.update({"rnn.l5.w_c": np.ones((1, 1))}),
             r"checkpoint parameter rnn\.l5\.w_c is not part of the configured model$",
         ),
         (
             "gnn", {},
-            lambda p: p.update(
-                dense=[e for e in p["dense"] if (e["matrix"], e["row"]) != ("w_out", 1)]
-            ),
+            lambda p: p.update({"head.w": p["head.w"][:1]}),
             r"checkpoint parameter head\.w has shape \(1, 8\), the config implies \(2, 8\)$",
+        ),
+        (
+            "scrnn", {},
+            lambda p: p.update({"head.b": p["head.b"].astype(np.float32)}),
+            r"checkpoint parameter head\.b has dtype float32, expected float64$",
+        ),
+        (
+            "ffnn", {},
+            lambda p: p.update({"fc.l0.b": p["fc.l0.b"].astype(object)}),
+            r"weights\.npz: Object arrays cannot be loaded when allow_pickle=False$",
+        ),
+        (
+            "ffnn", {},
+            lambda p: p.update({"fc.l0.w": p["fc.l0.w"].ravel()}),
+            r"checkpoint has no fc\.l0\.w matrix$",
         ),
     ])
     def test_weights_checked_against_config(self, tmp_path, arch, cfg_kw, edit, message):
@@ -432,60 +459,83 @@ class TestCheckpoint:
         load, naming the first offending parameter, not at predict."""
         prep, cfg = small_hd_prep(arch=arch, **cfg_kw)
         save_checkpoint(tmp_path, build_model(arch, prep, cfg), cfg)
-        path = tmp_path / "weights.json"
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
+        edit_npz(tmp_path / "weights.npz", edit)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
-    @pytest.mark.parametrize("values", ["drawn", "awkward"])
-    def test_weight_bytes_equal_json_dumps(self, tmp_path, arch, values):
-        """``weights.json`` is byte for byte ``json.dumps`` of the entry
-        dicts, also for signed zeros, subnormals and extreme exponents, and
-        loads back to the same bits."""
+    def test_weight_bits_survive_roundtrip(self, tmp_path, arch):
+        """Every parameter loads back as float64 with the bits it was saved
+        with: signed zeros, subnormals, extreme exponents, a NaN with a
+        non-default payload and both infinities included."""
         prep, cfg = small_hd_prep(arch=arch, nn_layers=2)
         model = build_model(arch, prep, cfg)
-        if values == "awkward":
-            awkward = np.array([
-                -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300,
-                1e-300, -1e-300, 0.1, 1.0, -2.5,
-            ])
-            for i, name in enumerate(sorted(model.params)):
-                p = model.params[name]
-                p.value = np.resize(np.roll(awkward, i), p.value.shape)
+        nan = np.array([0x7FF8_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+        awkward = np.array([
+            -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+            nan, np.inf, -np.inf, 0.1, -2.5,
+        ])
+        for i, name in enumerate(sorted(model.params)):
+            p = model.params[name]
+            p.value = np.resize(np.roll(awkward, i), p.value.shape)
         save_checkpoint(tmp_path, model, cfg)
-        assert (tmp_path / "weights.json").read_text() == oracle.weights_json(model)
         loaded, _ = load_checkpoint(tmp_path)
+        assert set(loaded.params) == set(model.params)
         for name, p in model.params.items():
-            assert loaded.params[name].value.tobytes() == p.value.tobytes()
-
-    def test_non_finite_weights_written_as_json_dumps_does(self, tmp_path):
-        prep, cfg = small_hd_prep()
-        model = build_model("scrnn", prep, cfg)
-        model.params["head.b"].value = np.array([[np.nan], [np.inf]])
-        model.params["sc.l0.f0.k0.w0"].value = np.array(-np.inf)
-        save_checkpoint(tmp_path, model, cfg)
-        text = (tmp_path / "weights.json").read_text()
-        assert text == oracle.weights_json(model)
-        assert '"term":"w0","value":-Infinity}' in text
-        assert '"row":0,"col":0,"value":NaN}' in text
-        assert '"row":1,"col":0,"value":Infinity}' in text
-        loaded, _ = load_checkpoint(tmp_path)
-        for name in ("head.b", "sc.l0.f0.k0.w0"):
-            got, want = loaded.params[name].value, model.params[name].value
-            assert got.tobytes() == want.tobytes()
+            got = loaded.params[name].value
+            assert got.dtype == np.float64
+            assert got.tobytes() == p.value.tobytes()
 
     def test_weight_file_schema(self, tmp_path):
-        import json
-
+        """``weights.npz`` is an uncompressed archive of one ``.npy`` per
+        parameter, named after it, that loads without unpickling."""
         prep, cfg = small_hd_prep()
         model = build_model("scrnn", prep, cfg)
-        save_checkpoint(tmp_path / "ck", model, cfg)
-        payload = json.loads((tmp_path / "ck" / "weights.json").read_text())
-        assert payload["arch"] == "scrnn"
-        sc = payload["sc"][0]
-        assert set(sc) == {"layer", "filter", "dim", "term", "value"}
-        dense = payload["dense"][0]
-        assert set(dense) == {"layer", "matrix", "row", "col", "value"}
+        save_checkpoint(tmp_path, model, cfg)
+        assert not (tmp_path / "weights.json").exists()
+        with zipfile.ZipFile(tmp_path / "weights.npz") as zf:
+            assert sorted(zf.namelist()) == sorted(f"{name}.npy" for name in model.params)
+            assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(tmp_path / "weights.npz", allow_pickle=False) as npz:
+            for name, p in model.params.items():
+                assert npz[name].dtype == np.float64
+                assert npz[name].shape == p.value.shape
+
+    def test_legacy_json_checkpoint_loads(self, tmp_path):
+        """A checkpoint written as ``weights.json`` still loads and decodes,
+        and re-saves as ``weights.npz`` with the bits of its JSON values."""
+        model, cfg = load_checkpoint(LEGACY_CHECKPOINT)
+        assert (cfg.arch, model.complex.n_vertices) == ("scrnn", 8)
+        ds = simulate_hd(HdSimConfig(n_neurons=8, duration=60.0, seed=5))
+        prep = prepare(ds, cfg, arch=cfg.arch, complex_=model.complex)
+        assert np.all(np.isfinite(model.predict(prep, prep.test_starts[:20])))
+
+        save_checkpoint(tmp_path, model, cfg)
+        payload = json.loads((LEGACY_CHECKPOINT / "weights.json").read_text())
+        with np.load(tmp_path / "weights.npz", allow_pickle=False) as npz:
+            assert len(npz.files) == len(model.params)
+            for e in payload["sc"]:
+                name = f"sc.l{e['layer'] - 1}.f{e['filter'] - 1}.k{e['dim']}.{e['term']}"
+                assert npz[name].tobytes() == np.float64(e["value"]).tobytes()
+            heads = {"w_out": "head.w", "b_out": "head.b"}
+            for e in payload["dense"]:
+                name = heads.get(e["matrix"], f"rnn.l{e['layer']}.{e['matrix']}")
+                cell = npz[name][e["row"], e["col"]]
+                assert cell.tobytes() == np.float64(e["value"]).tobytes()
+
+    def test_legacy_arch_must_match_config(self, tmp_path):
+        shutil.copytree(LEGACY_CHECKPOINT, tmp_path, dirs_exist_ok=True)
+        config = tmp_path / "config.txt"
+        config.write_text(config.read_text().replace("arch = scrnn", "arch = gnn"))
+        with pytest.raises(ValueError, match="'scrnn'.*'gnn'"):
+            load_checkpoint(tmp_path)
+
+    def test_npz_wins_over_json(self, tmp_path):
+        """In a directory holding both weight files, ``weights.npz`` is read."""
+        shutil.copytree(LEGACY_CHECKPOINT, tmp_path, dirs_exist_ok=True)
+        model, cfg = load_checkpoint(tmp_path)
+        model.params["head.b"].value = np.array([[0.25], [-0.5]])
+        save_checkpoint(tmp_path, model, cfg)
+        assert (tmp_path / "weights.json").exists()
+        loaded, _ = load_checkpoint(tmp_path)
+        assert loaded.params["head.b"].value.tolist() == [[0.25], [-0.5]]
