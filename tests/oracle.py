@@ -12,12 +12,15 @@ it stays out of the package because no production path needs a second copy.
 ``sc_stack`` and ``rnn_stack`` read a model's parameters by name into the
 plain dataclasses below.
 
-One more reference lives here for the same reason: ``coactivity_matrix``
-in its vertex-count form (a sparse membership matrix times the bits).
+Two more references live here for the same reason: ``coactivity_matrix``
+in its vertex-count form (a sparse membership matrix times the bits), and
+``weights_json``, the ``json.dumps`` of the entry dicts that older
+checkpoints hold as ``weights.json``, which the package still reads.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,3 +297,50 @@ def rnn_stack(model) -> RnnStack:
         w_out=params["head.w"].value,
         b_out=params["head.b"].value.reshape(-1),
     )
+
+
+def weight_entries(model):
+    """``weights.json``'s entry dicts: one per SC scalar, one per dense
+    matrix cell, in sorted parameter order."""
+    sc_entries, dense_entries = [], []
+    for name in sorted(model.params):
+        value = model.params[name].value
+        if name.startswith("sc."):
+            li, fi, kk, term = name.split(".")[1:]
+            sc_entries.append(
+                {
+                    "layer": int(li[1:]) + 1,
+                    "filter": int(fi[1:]) + 1,
+                    "dim": int(kk[1:]),
+                    "term": term,
+                    "value": float(value),
+                }
+            )
+        else:
+            if name.startswith("rnn.") or name.startswith("fc."):
+                layer = int(name.split(".")[1][1:])
+                matrix = name.split(".")[2]
+            else:  # head
+                layer = model.nn_layers
+                matrix = "w_out" if name.endswith("w") else "b_out"
+            rows, cols = value.shape
+            for r in range(rows):
+                for c in range(cols):
+                    dense_entries.append(
+                        {
+                            "layer": layer,
+                            "matrix": matrix,
+                            "row": r,
+                            "col": c,
+                            "value": float(value[r, c]),
+                        }
+                    )
+    return sc_entries, dense_entries
+
+
+def weights_json(model) -> str:
+    """An older checkpoint's ``weights.json`` for ``model``: ``json.dumps``
+    of the entry dicts."""
+    sc_entries, dense_entries = weight_entries(model)
+    payload = {"arch": model.arch, "sc": sc_entries, "dense": dense_entries}
+    return json.dumps(payload, separators=(",", ":"))

@@ -386,6 +386,16 @@ def drop_prefix(arrays, prefix):
         del arrays[name]
 
 
+def write_legacy_checkpoint(dirpath, model, cfg):
+    """Save ``model`` with its weights as an older checkpoint's
+    ``weights.json`` in place of ``weights.npz``; returns the JSON text."""
+    save_checkpoint(dirpath, model, cfg)
+    (dirpath / "weights.npz").unlink()
+    text = oracle.weights_json(model)
+    (dirpath / "weights.json").write_text(text)
+    return text
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
     def test_roundtrip_preserves_predictions(self, tmp_path, arch):
@@ -485,6 +495,46 @@ class TestCheckpoint:
             got = loaded.params[name].value
             assert got.dtype == np.float64
             assert got.tobytes() == p.value.tobytes()
+
+    @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
+    @pytest.mark.parametrize("values", ["drawn", "awkward"])
+    def test_weight_bytes_equal_json_dumps(self, tmp_path, arch, values):
+        """A ``weights.json`` that is ``json.dumps`` of the entry dicts loads
+        back to the same bits, also for signed zeros, subnormals and extreme
+        exponents, so the reference writer reproduces its bytes."""
+        prep, cfg = small_hd_prep(arch=arch, nn_layers=2)
+        model = build_model(arch, prep, cfg)
+        if values == "awkward":
+            awkward = np.array([
+                -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                1e-300, -1e-300, 0.1, 1.0, -2.5,
+            ])
+            for i, name in enumerate(sorted(model.params)):
+                p = model.params[name]
+                p.value = np.resize(np.roll(awkward, i), p.value.shape)
+        text = write_legacy_checkpoint(tmp_path, model, cfg)
+        loaded, _ = load_checkpoint(tmp_path)
+        assert oracle.weights_json(loaded) == text
+        assert set(loaded.params) == set(model.params)
+        for name, p in model.params.items():
+            assert loaded.params[name].value.tobytes() == p.value.tobytes()
+
+    def test_non_finite_weights_written_as_json_dumps_does(self, tmp_path):
+        """``NaN``, ``Infinity`` and ``-Infinity``, as ``json.dumps`` spells
+        them in a ``weights.json``, load back as those values."""
+        prep, cfg = small_hd_prep()
+        model = build_model("scrnn", prep, cfg)
+        model.params["head.b"].value = np.array([[np.nan], [np.inf]])
+        model.params["sc.l0.f0.k0.w0"].value = np.array(-np.inf)
+        text = write_legacy_checkpoint(tmp_path, model, cfg)
+        assert '"term":"w0","value":-Infinity}' in text
+        assert '"row":0,"col":0,"value":NaN}' in text
+        assert '"row":1,"col":0,"value":Infinity}' in text
+        loaded, _ = load_checkpoint(tmp_path)
+        assert oracle.weights_json(loaded) == text
+        for name in ("head.b", "sc.l0.f0.k0.w0"):
+            got, want = loaded.params[name].value, model.params[name].value
+            assert got.tobytes() == want.tobytes()
 
     def test_weight_file_schema(self, tmp_path):
         """``weights.npz`` is an uncompressed archive of one ``.npy`` per
