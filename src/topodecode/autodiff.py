@@ -22,7 +22,6 @@ __all__ = [
     "add_n",
     "matmul",
     "spmm",
-    "scale",
     "relu",
     "tanh",
     "take_cols",
@@ -118,16 +117,6 @@ def spmm(m, x: Var) -> Var:
     return Var(out, (x,), vjp)
 
 
-def scale(s: Var, x: Var) -> Var:
-    """Scalar variable times an array variable."""
-    out = s.value * x.value
-
-    def vjp(g):
-        return np.sum(g * x.value), s.value * g
-
-    return Var(out, (s, x), vjp)
-
-
 def relu(x: Var) -> Var:
     out = np.maximum(x.value, 0.0)
 
@@ -159,19 +148,22 @@ def take_cols(x: Var, idx: np.ndarray) -> Var:
     return Var(out, (x,), vjp)
 
 
-def lincomb(scalars: list[Var], flat: np.ndarray, shape) -> Var:
-    """Linear combination of constant matrices by scalar variables.
-
-    ``flat`` holds the matrices as rows of a (n_terms, size) array; the
-    output is reshaped to ``shape``. One GEMV forward, one GEMV backward.
-    """
-    w = np.array([s.value for s in scalars])
-    out = (w @ flat).reshape(shape)
+def lincomb(scalars: list[Var], terms: list) -> Var:
+    """Sum of ``scalars[i] * terms[i]``, added in term order. Each term is a
+    constant array or a Var of the output's shape; constant terms are not
+    graph parents."""
+    values = [t.value if isinstance(t, Var) else t for t in terms]
+    out = scalars[0].value * values[0]
+    for s, value in zip(scalars[1:], values[1:]):
+        out += s.value * value
+    nodes = [(s, t) for s, t in zip(scalars, terms) if isinstance(t, Var)]
 
     def vjp(g):
-        return tuple(flat @ g.reshape(-1))
+        return tuple(np.vdot(value, g) for value in values) + tuple(
+            s.value * g for s, _ in nodes
+        )
 
-    return Var(out, tuple(scalars), vjp)
+    return Var(out, (*scalars, *(t for _, t in nodes)), vjp)
 
 
 def mul_mask(x: Var, mask: np.ndarray) -> Var:

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .config import TrainConfig, read_config, read_kv, write_config
-from .model import build_model, load_checkpoint, prepare, save_checkpoint
+from .model import ARCHS, build_model, load_checkpoint, prepare, save_checkpoint
 from .spikes import load_spike_dataset
 from .svgplot import line_plot
 from .synth import GridSimConfig, HdSimConfig, simulate_grid, simulate_hd
@@ -273,8 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--config", default=None)
-    p_train.add_argument("--arch", choices=["scrnn", "ffnn", "rnn", "gnn"],
-                         default=None)
+    p_train.add_argument("--arch", choices=ARCHS, default=None)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
 
@@ -290,8 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--out", required=True)
     p_search.add_argument("--space", default=None)
     p_search.add_argument("--budget", type=int, default=4)
-    p_search.add_argument("--arch", choices=["scrnn", "ffnn", "rnn", "gnn"],
-                          default=None)
+    p_search.add_argument("--arch", choices=ARCHS, default=None)
     p_search.add_argument("--seed", type=int, default=None)
     p_search.add_argument("--config", default=None)
     p_search.set_defaults(func=cmd_search)

@@ -409,21 +409,9 @@ class ScrnnModel(Decoder):
                 power = product(lap, power)
                 yield power
 
-    def _stacked_powers(self, k, x):
-        """The Laplacian powers of the array ``x`` as one float64
-        ``(n_terms, *x.shape)`` array: ``x`` is written into ``out[0]`` and
-        each power is computed from the one before it."""
-        out = np.empty((len(self._filter_names(0, 0, k)), *x.shape))
-        out[0] = x
-        powers = self._laplacian_powers(k, out[0], operator.matmul)
-        next(powers)  # out[0] itself
-        for term, power in zip(out[1:], powers):
-            term[...] = power
-        return out
-
     def _input_terms(self, prep: PreparedData, cols, pattern_bins):
         """Laplacian powers of the first layer's input cochains, keyed by
-        dimension.
+        dimension: per dimension a list of float64 arrays in term order.
 
         ``terms[0]`` holds the powers of the spike counts, one column per
         entry of ``cols``. For k >= 1 the input cochain is the coactivity
@@ -435,27 +423,21 @@ class ScrnnModel(Decoder):
         """
         if self.complex is not prep.complex and self.complex != prep.complex:
             raise ValueError("the model's complex differs from the prepared data's")
-        terms = {0: self._stacked_powers(0, prep.counts[:, cols])}
         bits = prep.bits[:, pattern_bins]
-        for k in range(1, self.complex.dim + 1):
-            terms[k] = self._stacked_powers(k, coactivity_matrix(self.complex, bits, k))
-        return terms
+        inputs = [prep.counts[:, cols]] + [
+            coactivity_matrix(self.complex, bits, k) for k in range(1, self.complex.dim + 1)
+        ]
+        return {
+            k: list(self._laplacian_powers(k, x.astype(np.float64), operator.matmul))
+            for k, x in enumerate(inputs)
+        }
 
     def _sc_forward(self, first_terms):
         """The simplicial stack, one column per column of ``first_terms``;
         returns the output summed over filters per dimension."""
         dims = range(self.complex.dim + 1)
         feats = [
-            {
-                k: ad.relu(
-                    ad.lincomb(
-                        self._filter_weights(0, fi, k),
-                        first_terms[k].reshape(len(first_terms[k]), -1),
-                        first_terms[k].shape[1:],
-                    )
-                )
-                for k in dims
-            }
+            {k: ad.relu(ad.lincomb(self._filter_weights(0, fi, k), first_terms[k])) for k in dims}
             for fi in range(self.n_filters)
         ]
         for li in range(1, self.sc_layers):
@@ -473,14 +455,8 @@ class ScrnnModel(Decoder):
             feats = [
                 {
                     k: ad.relu(
-                        ad.add_n(
-                            [
-                                ad.scale(w, power)
-                                for w, power in zip(
-                                    weights[k],
-                                    self._laplacian_powers(k, feat[k], ad.spmm),
-                                )
-                            ]
+                        ad.lincomb(
+                            weights[k], list(self._laplacian_powers(k, feat[k], ad.spmm))
                         )
                     )
                     for k in dims

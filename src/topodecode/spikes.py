@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,12 +97,6 @@ class SpikeCountMatrix:
     t_bin: float
     t_start: float
     discarded: int = 0
-    edges: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.edges is None:
-            n_bins = self.counts.shape[1]
-            self.edges = self.t_start + self.t_bin * np.arange(n_bins + 1)
 
     @property
     def n_bins(self) -> int:

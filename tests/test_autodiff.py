@@ -42,13 +42,28 @@ def test_add_broadcast_and_matmul():
     fd_check(lambda: ad.mse(ad.add(ad.matmul(w, x), b), t), [w, x, b])
 
 
-def test_spmm_and_scale():
+def test_lincomb_over_constant_and_var_terms():
+    """A weighted sum of constant terms, a Var and a sparse product of it:
+    summed in term order, constant terms left out of the graph, and its
+    gradients equal to central differences."""
     rng = np.random.default_rng(1)
     m = sparse.random(6, 6, density=0.4, random_state=2, format="csr")
     x = ad.var(rng.normal(size=(6, 3)))
-    s = ad.var(0.7)
+    ws = [ad.var(w) for w in (0.7, -1.3, 0.4, 2.1)]
+    c0, c1 = rng.normal(size=(2, 6, 3))
     t = rng.normal(size=(6, 3))
-    fd_check(lambda: ad.mse(ad.scale(s, ad.spmm(m, x)), t), [x, s])
+
+    def build():
+        return ad.lincomb(ws, [c0, x, ad.spmm(m, x), c1])
+
+    out = build()
+    want = ws[0].value * c0
+    for w, term in zip(ws[1:], (x.value, m @ x.value, c1)):
+        want += w.value * term
+    assert out.value.tobytes() == want.tobytes()
+    assert out._parents[:5] == (*ws, x) and len(out._parents) == 6
+    assert ad.lincomb(ws[:2], [c0, c1])._parents == tuple(ws[:2])
+    fd_check(lambda: ad.mse(build(), t), [x, *ws])
 
 
 @pytest.mark.parametrize("k, lower", [(1, True), (2, True), (1, False)])
@@ -62,9 +77,11 @@ def test_spmm_through_factored_half(k, lower):
     op = FactoredHalf(incidence_matrix(S, k if lower else k + 1), lower)
     n = S.n_simplices(k)
     x = ad.var(rng.normal(size=(n, 3)))
-    s = ad.var(0.7)
+    ws = [ad.var(0.7), ad.var(-0.4)]
     t = rng.normal(size=(n, 3))
-    fd_check(lambda: ad.mse(ad.scale(s, ad.spmm(op, ad.relu(ad.spmm(op, x)))), t), [x, s])
+    fd_check(
+        lambda: ad.mse(ad.lincomb(ws, [x, ad.spmm(op, ad.relu(ad.spmm(op, x)))]), t), [x, *ws]
+    )
 
 
 def test_activations():

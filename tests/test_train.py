@@ -83,7 +83,7 @@ class TestBackward:
         w = ad.var(0.8)
         x = np.array([[1.0, -2.0, 0.5]])
         t = np.array([[0.3, 0.1, -0.4]])
-        loss = ad.mse(ad.scale(w, ad.var(x)), t)
+        loss = ad.mse(ad.lincomb([w], [x]), t)
         ad.backward(loss)
         expect = np.mean(2.0 * (0.8 * x - t) * x)
         np.testing.assert_allclose(w.grad, expect, rtol=1e-12)
