@@ -5,14 +5,15 @@ simplex on those neurons (or all its faces of the capped dimension when
 ``n_act - 1`` exceeds the cap), closed under faces. Simplices are stored
 with strictly ascending vertex indices, which fixes the orientation used by
 the signed incidence matrices; the j-th face (vertex j removed) carries
-sign ``(-1)**j``.
+sign ``(-1)**j``. A complex is held only as arrays, its simplex rows and
+face rows per dimension, built and checked once on construction.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 from scipy import sparse
@@ -30,52 +31,90 @@ __all__ = [
 ]
 
 
+def _is_integer(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, (bool, np.bool_))
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte-string key per row of big-endian int64s, whose byte order
+    is the rows' lexicographic order (for non-negative entries)."""
+    be = np.ascontiguousarray(rows, dtype=">i8")
+    return be.view(np.dtype((np.void, be.itemsize * be.shape[1]))).reshape(-1)
+
+
+def _vertex_rows(k: int, simplices) -> np.ndarray:
+    """The k-simplices as an ``(N, k+1)`` intp array; names a simplex with a
+    wrong vertex count or a vertex that is no integer or exceeds intp."""
+    if isinstance(simplices, np.ndarray) and simplices.dtype.kind in "iu":
+        return simplices.astype(np.intp, copy=False).reshape(len(simplices), k + 1)
+    simplices = list(simplices)
+    if not all(map(_is_integer, set(map(type, chain.from_iterable(simplices))))):
+        bad = next(s for s in simplices if not all(_is_integer(type(v)) for v in s))
+        raise ValueError(f"simplex {tuple(bad)} has non-integer vertices")
+    wrong = next((s for s in simplices if len(s) != k + 1), None)
+    if wrong is not None:
+        raise ValueError(f"simplex {tuple(map(int, wrong))} stored at wrong dimension {k}")
+    try:
+        return np.array(simplices, dtype=np.intp).reshape(len(simplices), k + 1)
+    except OverflowError:
+        big = next(s for s in simplices if max(map(abs, s)) > np.iinfo(np.intp).max)
+        raise ValueError(f"simplex {tuple(big)} has out-of-range vertices") from None
+
+
+def _face_rows(rows, lower_keys):
+    """``faces[k]`` of the sorted k-simplex rows, each face looked up among
+    the sorted (k-1)-simplex keys; rejects the first simplex lacking one."""
+    k = rows.shape[1] - 1
+    drop = [[c for c in range(k + 1) if c != j] for j in range(k + 1)]
+    face_keys = _row_keys(rows[:, drop].reshape(-1, k))
+    found = np.searchsorted(lower_keys, face_keys)
+    missing = found == len(lower_keys)
+    missing[~missing] = lower_keys[found[~missing]] != face_keys[~missing]
+    if missing.any():
+        i, j = divmod(int(np.argmax(missing)), k + 1)
+        s = tuple(map(int, rows[i]))
+        raise ValueError(f"complex not closed under faces: {s} lacks {s[:j] + s[j + 1:]}")
+    return found.reshape(-1, k + 1)
+
+
 class SimplicialComplex:
-    """Face-closed collection of simplices with deterministic indexing.
+    """Face-closed collection of simplices, held as read-only intp arrays.
 
     All ``n_vertices`` neurons appear as 0-simplices even when silent.
-    Per dimension, simplices are sorted lexicographically by vertex tuple.
+    ``simplices[k]`` holds one ``(k+1)``-vertex row per k-simplex, sorted
+    lexicographically; the row number is the simplex's index. For k >= 1,
+    ``faces[k][i, j]`` is the row in ``simplices[k - 1]`` of simplex i's
+    face without vertex j. Only dimensions with simplices have keys. Input
+    rows may come in any order and repeat; a set that is not a face-closed
+    complex on ``n_vertices`` vertices is rejected, naming a simplex.
     """
 
-    def __init__(self, n_vertices: int, simplices: dict[int, list[tuple[int, ...]]]):
+    def __init__(self, n_vertices: int, simplices: dict):
+        if not _is_integer(type(n_vertices)):
+            raise ValueError(f"n_vertices must be an integer, got {n_vertices!r}")
         if n_vertices < 1:
             raise ValueError("complex needs at least one vertex")
-        self.n_vertices = n_vertices
-        store: dict[int, list[tuple[int, ...]]] = {
-            0: [(i,) for i in range(n_vertices)]
-        }
-        for k in sorted(simplices):
-            if k == 0:
+        self.n_vertices = int(n_vertices)
+        self.simplices = {0: np.arange(self.n_vertices, dtype=np.intp).reshape(-1, 1)}
+        self.faces = {}
+        keys = {0: _row_keys(self.simplices[0])}
+        for k in sorted(set(simplices) - {0}):
+            rows = _vertex_rows(k, simplices[k])
+            if not rows.size:
                 continue
-            uniq = sorted(set(tuple(int(v) for v in s) for s in simplices[k]))
-            if not uniq:
-                continue
-            store[k] = uniq
-        self.simplices = store
-        self.index: dict[int, dict[tuple[int, ...], int]] = {
-            k: {s: i for i, s in enumerate(lst)} for k, lst in store.items()
-        }
-        self._validate()
-        self._incidence: dict[int, sparse.csc_matrix] = {}
-        self._vertices: dict[int, np.ndarray] = {}
-
-    def _validate(self):
-        for k, lst in self.simplices.items():
-            for s in lst:
-                if len(s) != k + 1:
-                    raise ValueError(f"simplex {s} stored at wrong dimension {k}")
-                if any(a >= b for a, b in zip(s, s[1:])):
-                    raise ValueError(f"simplex vertices not strictly ascending: {s}")
-                if s[0] < 0 or s[-1] >= self.n_vertices:
-                    raise ValueError(f"simplex {s} has out-of-range vertices")
-                if k >= 1:
-                    lower = self.index.get(k - 1, {})
-                    for j in range(len(s)):
-                        face = s[:j] + s[j + 1:]
-                        if face not in lower:
-                            raise ValueError(
-                                f"complex not closed under faces: {s} lacks {face}"
-                            )
+            keys[k], first = np.unique(_row_keys(rows), return_index=True)
+            rows = self.simplices[k] = rows[first]
+            ascending = np.all(rows[:, 1:] > rows[:, :-1], axis=1)
+            inside = (rows[:, 0] >= 0) & (rows[:, -1] < self.n_vertices)
+            if not ascending.all():
+                s = tuple(map(int, rows[np.argmin(ascending)]))
+                raise ValueError(f"simplex vertices not strictly ascending: {s}")
+            if not inside.all():
+                s = tuple(map(int, rows[np.argmin(inside)]))
+                raise ValueError(f"simplex {s} has out-of-range vertices")
+            self.faces[k] = _face_rows(rows, keys.get(k - 1, _row_keys(np.empty((0, k)))))
+        for arr in (*self.simplices.values(), *self.faces.values()):
+            arr.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -83,7 +122,7 @@ class SimplicialComplex:
         return max(self.simplices)
 
     def n_simplices(self, k: int) -> int:
-        return len(self.simplices.get(k, ()))
+        return len(self.simplices[k]) if k in self.simplices else 0
 
     @property
     def total_simplices(self) -> int:
@@ -92,71 +131,74 @@ class SimplicialComplex:
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialComplex)
-            and self.n_vertices == other.n_vertices
-            and self.simplices == other.simplices
+            and self.simplices.keys() == other.simplices.keys()
+            and all(np.array_equal(v, other.simplices[k]) for k, v in self.simplices.items())
         )
+
+
+def _column_patterns(bits):
+    """The distinct columns of a 0/1 matrix in lexicographic order, as
+    ``(first, pattern_of_bin)``, which ``np.unique(bits, axis=1,
+    return_index=True, return_inverse=True)`` also gives. Each column is
+    packed into one byte-string key whose byte order is the columns'
+    lexicographic order, so one 1-D ``np.unique`` does the work."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=0).T.copy()
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, pattern_of_bin = np.unique(keys, return_index=True, return_inverse=True)
+    return first, pattern_of_bin.reshape(-1)
 
 
 def build_complex(bits, k_max: int, columns=None) -> SimplicialComplex:
     """Build the complex from a binarized matrix (or its ``bits`` array).
 
     For every column restricted to ``columns`` (an iterable of column
-    indices; default all), the active neurons contribute every sub-simplex
-    up to dimension ``k_max``; activity sets larger than ``k_max + 1`` are
-    represented by all their ``k_max``-dimensional faces.
+    indices; default all), the active (nonzero) neurons contribute every
+    sub-simplex up to dimension ``k_max``; activity sets larger than
+    ``k_max + 1`` are represented by all their ``k_max``-dimensional faces.
+    Only distinct columns are enumerated, those with the same number of
+    active neurons in one gather per simplex size.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     matrix = np.asarray(getattr(bits, "bits", bits))
+    if matrix.ndim != 2:
+        raise ValueError(f"activity matrix must be 2-D (neurons x bins), got shape {matrix.shape}")
     n_neurons, n_bins = matrix.shape
-    if columns is None:
-        columns = range(n_bins)
-    found: dict[int, set[tuple[int, ...]]] = {k: set() for k in range(1, k_max + 1)}
-    for j in columns:
-        if not 0 <= j < n_bins:
-            raise ValueError(f"column {j} outside matrix with {n_bins} bins")
-        active = np.flatnonzero(matrix[:, j])
-        n_act = active.size
-        if n_act <= 1:
-            continue
-        active = [int(v) for v in active]
-        for size in range(2, min(n_act, k_max + 1) + 1):
-            found[size - 1].update(combinations(active, size))
-    return SimplicialComplex(
-        n_neurons, {k: sorted(v) for k, v in found.items() if v}
-    )
+    cols = np.arange(n_bins) if columns is None else np.asarray(list(columns))
+    if cols.size and cols.dtype.kind not in "iu":
+        raise ValueError(f"column indices must be integers, got dtype {cols.dtype}")
+    outside = (cols < 0) | (cols >= n_bins)
+    if outside.any():
+        raise ValueError(f"column {cols[outside][0]} outside matrix with {n_bins} bins")
+    seen = matrix[:, cols.astype(np.intp)]
+    patterns = seen[:, _column_patterns(seen)[0]].T != 0
+    n_act = patterns.sum(axis=1)
+    found: dict[int, list[np.ndarray]] = {k: [] for k in range(1, k_max + 1)}
+    for n in np.unique(n_act[n_act >= 2]):
+        active = np.nonzero(patterns[n_act == n])[1].reshape(-1, n)
+        for size in range(2, min(n, k_max + 1) + 1):
+            subsets = np.array(list(combinations(range(n), size)), dtype=np.intp)
+            found[size - 1].append(active[:, subsets].reshape(-1, size))
+    return SimplicialComplex(n_neurons, {k: np.concatenate(v) for k, v in found.items() if v})
 
 
 def incidence_matrix(S: SimplicialComplex, k: int) -> sparse.csc_matrix:
     """Signed face-of relation between (k-1)- and k-simplices.
 
-    Column j of the result holds the alternating signs ``(-1)**i`` on the
-    rows of the i-th faces of the j-th k-simplex. ``k=0`` returns the zero
-    matrix of shape (N_0, N_0).
+    Column i holds ``(-1)**j`` on row ``faces[k][i, j]``. The entries are
+    handed to scipy simplex by simplex, face j ascending; that order fixes
+    the CSC layout and so the summation order of products with the matrix.
+    ``k=0`` returns the zero matrix of shape (N_0, N_0).
     """
     if not 0 <= k <= S.dim:
         raise ValueError(f"dimension {k} outside [0, {S.dim}]")
-    if k in S._incidence:
-        return S._incidence[k]
     if k == 0:
-        n0 = S.n_vertices
-        mat = sparse.csc_matrix((n0, n0), dtype=np.int64)
-    else:
-        rows, cols, vals = [], [], []
-        face_index = S.index[k - 1]
-        for col, simplex in enumerate(S.simplices[k]):
-            for j in range(len(simplex)):
-                face = simplex[:j] + simplex[j + 1:]
-                rows.append(face_index[face])
-                cols.append(col)
-                vals.append((-1) ** j)
-        mat = sparse.csc_matrix(
-            (vals, (rows, cols)),
-            shape=(S.n_simplices(k - 1), S.n_simplices(k)),
-            dtype=np.int64,
-        )
-    S._incidence[k] = mat
-    return mat
+        return sparse.csc_matrix((S.n_vertices, S.n_vertices), dtype=np.int64)
+    n_k = S.n_simplices(k)
+    signs = np.tile((-1) ** np.arange(k + 1, dtype=np.int64), n_k)
+    cols = np.repeat(np.arange(n_k), k + 1)
+    shape = (S.n_simplices(k - 1), n_k)
+    return sparse.csc_matrix((signs, (S.faces[k].reshape(-1), cols)), shape=shape, dtype=np.int64)
 
 
 @dataclass
@@ -170,29 +212,24 @@ class HodgeLaplacian:
 
 
 def hodge_laplacian(S: SimplicialComplex, k: int) -> HodgeLaplacian:
-    """Hodge Laplacian at dimension k: B_k^T B_k + B_{k+1} B_{k+1}^T.
-
-    The boundary above the top dimension is treated as zero, as is B_0.
-    """
+    """Hodge Laplacian at dimension k: B_k^T B_k + B_{k+1} B_{k+1}^T."""
     if not 0 <= k <= S.dim:
         raise ValueError(f"dimension {k} outside [0, {S.dim}]")
-    n_k = S.n_simplices(k)
-    if k >= 1:
-        b_k = incidence_matrix(S, k)
-        lower = (b_k.T @ b_k).tocsr()
-    else:
-        lower = sparse.csr_matrix((n_k, n_k), dtype=np.int64)
-    if k < S.dim:
-        b_up = incidence_matrix(S, k + 1)
-        upper = (b_up @ b_up.T).tocsr()
-    else:
-        upper = sparse.csr_matrix((n_k, n_k), dtype=np.int64)
-    return HodgeLaplacian(k=k, lower=lower, upper=upper)
+    return complex_laplacians(S)[k]
 
 
 def complex_laplacians(S: SimplicialComplex) -> dict[int, HodgeLaplacian]:
-    """All Hodge Laplacians of a complex, keyed by dimension."""
-    return {k: hodge_laplacian(S, k) for k in range(S.dim + 1)}
+    """All Hodge Laplacians of a complex, keyed by dimension, from one
+    build of each incidence matrix. B_0 and the boundary above the top
+    dimension are zero, so their halves are built as zero matrices."""
+    b = {k: incidence_matrix(S, k) for k in range(1, S.dim + 1)}
+    laps = {}
+    for k in range(S.dim + 1):
+        zero = sparse.csr_matrix((S.n_simplices(k),) * 2, dtype=np.int64)
+        lower = (b[k].T @ b[k]).tocsr() if k in b else zero
+        upper = (b[k + 1] @ b[k + 1].T).tocsr() if k + 1 in b else zero.copy()
+        laps[k] = HodgeLaplacian(k=k, lower=lower, upper=upper)
+    return laps
 
 
 def coactivity_matrix(S: SimplicialComplex, bits: np.ndarray, k: int) -> np.ndarray:
@@ -200,12 +237,7 @@ def coactivity_matrix(S: SimplicialComplex, bits: np.ndarray, k: int) -> np.ndar
     k-simplex is active in the bin (nonzero bit = active), else 0. A
     dimension without simplices gives shape ``(0, N_b)``."""
     active = np.asarray(bits) != 0
-    vertices = S._vertices.get(k)
-    if vertices is None:
-        # The (N_k, k+1) vertex array, built from the tuple list once.
-        vertices = np.array(S.simplices.get(k, ()), dtype=np.intp).reshape(-1, k + 1)
-        vertices.setflags(write=False)
-        S._vertices[k] = vertices
+    vertices = S.simplices.get(k, np.empty((0, k + 1), dtype=np.intp))
     out = active[vertices[:, 0]]
     for j in range(1, k + 1):
         out &= active[vertices[:, j]]
@@ -216,29 +248,20 @@ def complex_to_json(S: SimplicialComplex) -> str:
     """Dump simplex lists and signed incidence triples for inspection."""
     payload = {
         "n_vertices": S.n_vertices,
-        "simplices": {
-            str(k): [list(s) for s in S.simplices[k]]
-            for k in sorted(S.simplices)
-            if k >= 1
-        },
+        "simplices": {str(k): S.simplices[k].tolist() for k in range(1, S.dim + 1)},
         "incidence": {},
     }
     for k in range(1, S.dim + 1):
         mat = incidence_matrix(S, k).tocoo()
         payload["incidence"][str(k)] = {
             "shape": list(mat.shape),
-            "entries": [
-                [int(r), int(c), int(v)]
-                for r, c, v in zip(mat.row, mat.col, mat.data)
-            ],
+            "entries": np.column_stack([mat.row, mat.col, mat.data]).tolist(),
         }
     return json.dumps(payload)
 
 
 def complex_from_json(text: str) -> SimplicialComplex:
+    """The complex of a ``complex_to_json`` dump, from its simplex lists."""
     payload = json.loads(text)
-    simplices = {
-        int(k): [tuple(s) for s in lst]
-        for k, lst in payload.get("simplices", {}).items()
-    }
-    return SimplicialComplex(int(payload["n_vertices"]), simplices)
+    simplices = {int(k): lst for k, lst in payload.get("simplices", {}).items()}
+    return SimplicialComplex(payload["n_vertices"], simplices)

@@ -39,13 +39,7 @@ def aae(decoded, true) -> float:
 
 def aed(decoded_xy, true_xy) -> float:
     """Mean per-bin Euclidean distance between trajectories, in cm."""
-    decoded_xy = np.asarray(decoded_xy, dtype=np.float64)
-    true_xy = np.asarray(true_xy, dtype=np.float64)
-    if decoded_xy.shape != true_xy.shape:
-        raise ValueError(f"shape mismatch: {decoded_xy.shape} vs {true_xy.shape}")
-    if decoded_xy.size == 0:
-        raise ValueError("empty series")
-    return float(np.mean(np.linalg.norm(decoded_xy - true_xy, axis=-1)))
+    return report_grid(decoded_xy, true_xy).aed_cm
 
 
 @dataclass

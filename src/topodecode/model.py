@@ -24,6 +24,7 @@ from . import autodiff as ad
 from . import complexes
 from .complexes import (
     SimplicialComplex,
+    _column_patterns,
     coactivity_matrix,
     complex_from_json,
     complex_laplacians,
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 ARCHS = ("scrnn", "ffnn", "rnn", "gnn")
+
+# Windows per graph that ``Decoder.predict`` evaluates at once.
+PREDICT_CHUNK = 256
 
 
 @dataclass
@@ -98,10 +102,7 @@ def encode_angle(theta_deg):
 
 def decode_angle(y) -> float:
     """2-vector -> angle in [0, 360) degrees; rejects the zero vector."""
-    y = np.asarray(y, dtype=np.float64)
-    if y[0] == 0.0 and y[1] == 0.0:
-        raise ValueError("cannot decode an angle from the zero vector")
-    return float(np.remainder(np.degrees(np.arctan2(y[1], y[0])), 360.0))
+    return float(decode_angles(np.asarray(y, dtype=np.float64).reshape(2, 1))[0])
 
 
 def decode_angles(y2n: np.ndarray) -> np.ndarray:
@@ -245,24 +246,6 @@ def _rnn_params(input_width, cfg, rng) -> dict:
     return params
 
 
-def _column_patterns(bits):
-    """The distinct columns of a 0/1 matrix in lexicographic order, as
-    ``(first, pattern_of_bin)``: ``first[p]`` is the first column holding
-    pattern ``p`` and column ``b`` holds pattern ``pattern_of_bin[b]``, as
-    ``np.unique(bits, axis=1, return_index=True, return_inverse=True)``
-    gives them.
-
-    Each column is packed into one byte-string key. With 0/1 bits, the
-    byte order of two packed columns is their lexicographic order, so one
-    1-D ``np.unique`` over the keys replaces the row-by-row comparisons of
-    the ``axis=1`` form.
-    """
-    packed = np.packbits(np.asarray(bits, dtype=bool), axis=0).T.copy()
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first, pattern_of_bin = np.unique(keys, return_index=True, return_inverse=True)
-    return first, pattern_of_bin.reshape(-1)
-
-
 class FactoredHalf:
     """A Hodge-Laplacian half applied through its incidence factor ``B``:
     ``B.T @ (B @ x)`` for a lower half (``B = B_k``) and ``B @ (B.T @ x)``
@@ -306,7 +289,6 @@ class Decoder:
     n_col = 1
 
     def __init__(self, input_width, cfg):
-        self.kind = cfg.kind
         self.input_width = input_width
         self.seq_len = cfg.seq_len
         self.nn_layers = cfg.nn_layers
@@ -322,7 +304,7 @@ class Decoder:
         pred, targets = self.forward(prep, starts, training, rng)
         return ad.mse(pred, targets), pred
 
-    def predict(self, prep, starts, chunk=256) -> np.ndarray:
+    def predict(self, prep, starts) -> np.ndarray:
         """Model outputs for a list of window starts, shape (2, n).
 
         A window reads ``seq_len + n_col - 1`` consecutive bins, so a start
@@ -336,8 +318,8 @@ class Decoder:
             raise ValueError(f"window start {starts[bad][0]} outside [0, {last_valid}]")
         outputs = []
         with ad.no_grad():
-            for lo in range(0, len(starts), chunk):
-                pred, _ = self.forward(prep, starts[lo:lo + chunk])
+            for lo in range(0, len(starts), PREDICT_CHUNK):
+                pred, _ = self.forward(prep, starts[lo:lo + PREDICT_CHUNK])
                 outputs.append(pred.value)
         return np.concatenate(outputs, axis=1)
 
@@ -355,14 +337,14 @@ class ScrnnModel(Decoder):
         # Lower and upper Laplacian half per dimension: a float64 CSR
         # matrix, or a FactoredHalf where the factor is much sparser than
         # the half (the dense lower halves of large complexes).
-        self.laps = {}
-        for k, lap in complex_laplacians(complex_).items():
-            b_low = incidence_matrix(complex_, k) if k else None
-            b_up = incidence_matrix(complex_, k + 1) if k < complex_.dim else None
-            self.laps[k] = (
-                _half_operator(lap.lower, b_low, lower=True),
-                _half_operator(lap.upper, b_up, lower=False),
+        b = {k: incidence_matrix(complex_, k) for k in range(1, complex_.dim + 1)}
+        self.laps = {
+            k: (
+                _half_operator(lap.lower, b.get(k), lower=True),
+                _half_operator(lap.upper, b.get(k + 1), lower=False),
             )
+            for k, lap in complex_laplacians(complex_).items()
+        }
         super().__init__(complex_.total_simplices, cfg)
 
     @property

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 
+CLIP_NORM = 5.0  # largest global gradient norm an update applies
+
+
 class TrainingDiverged(RuntimeError):
     """Raised when the loss becomes non-finite during training."""
 
@@ -67,11 +70,11 @@ def _clip_global_norm(grads: dict, max_norm: float) -> None:
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, params: dict, learning_rate: float, betas=(0.9, 0.999), eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict, learning_rate: float):
         self.params = params
         self.lr = learning_rate
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
@@ -98,7 +101,7 @@ def _validation_loss(model, prep) -> float:
     return mse_loss(model.predict(prep, starts), prep.targets[:, starts + model.seq_len - 1])
 
 
-def train(model, prep: PreparedData, cfg: TrainConfig, clip_norm: float = 5.0):
+def train(model, prep: PreparedData, cfg: TrainConfig):
     """Minibatch Adam over the training windows; keeps the weights from the
     best validation epoch. Returns (model, loss curve rows)."""
     rng = np.random.default_rng(cfg.seed)
@@ -118,7 +121,7 @@ def train(model, prep: PreparedData, cfg: TrainConfig, clip_norm: float = 5.0):
                     f"non-finite loss at epoch {epoch}, batch {n_batches} "
                     f"(lr={cfg.learning_rate})"
                 )
-            _clip_global_norm(grads, clip_norm)
+            _clip_global_norm(grads, CLIP_NORM)
             optimizer.step(grads)
             epoch_loss += loss
             n_batches += 1

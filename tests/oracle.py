@@ -12,16 +12,21 @@ it stays out of the package because no production path needs a second copy.
 ``sc_stack`` and ``rnn_stack`` read a model's parameters by name into the
 plain dataclasses below.
 
-Two more references live here for the same reason: ``coactivity_matrix``
-in its vertex-count form (a sparse membership matrix times the bits), and
+More references live here for the same reason: ``coactivity_matrix``
+in its vertex-count form (a sparse membership matrix times the bits);
 ``weights_json``, the ``json.dumps`` of the entry dicts that older
-checkpoints hold as ``weights.json``, which the package still reads.
+checkpoints hold as ``weights.json``, which the package still reads; and
+the simplicial complex built and indexed one simplex at a time, as tuple
+lists with a dict per dimension (``build_simplices``, ``faces``,
+``incidence_matrix``, ``complex_to_json``), which the package does in
+array operations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
@@ -222,6 +227,65 @@ def coactivity_matrix(S, bits, k: int) -> np.ndarray:
     """The co-activity indicator as a vertex count: a k-simplex is active in
     a bin where all k + 1 of its vertices have bit 1."""
     return (vertex_membership(S, k) @ bits == (k + 1)).astype(np.int8)
+
+
+def build_simplices(bits, k_max: int) -> dict[int, list[tuple[int, ...]]]:
+    """Per dimension k >= 1 with simplices, the sorted tuples of the
+    complex ``build_complex`` makes, found one column at a time."""
+    bits = np.asarray(bits)
+    found: dict[int, set] = {k: set() for k in range(1, k_max + 1)}
+    for j in range(bits.shape[1]):
+        active = [int(v) for v in np.flatnonzero(bits[:, j])]
+        for size in range(2, min(len(active), k_max + 1) + 1):
+            found[size - 1].update(combinations(active, size))
+    return {k: sorted(v) for k, v in found.items() if v}
+
+
+def _tuples(S, k):
+    return [tuple(s) for s in S.simplices[k].tolist()]
+
+
+def faces(S, k: int) -> np.ndarray:
+    """``faces[k]`` by tuple lookup: the row of each face (vertex j
+    removed) of each k-simplex in a dict of the (k-1)-simplices."""
+    index = {s: i for i, s in enumerate(_tuples(S, k - 1))}
+    rows = [[index[s[:j] + s[j + 1:]] for j in range(k + 1)] for s in _tuples(S, k)]
+    return np.array(rows, dtype=np.intp).reshape(-1, k + 1)
+
+
+def incidence_matrix(S, k: int) -> sparse.csc_matrix:
+    """B_k for k >= 1 from per-simplex triples, simplex by simplex and
+    face j ascending."""
+    index = {s: i for i, s in enumerate(_tuples(S, k - 1))}
+    rows, cols, vals = [], [], []
+    for col, simplex in enumerate(_tuples(S, k)):
+        for j in range(len(simplex)):
+            rows.append(index[simplex[:j] + simplex[j + 1:]])
+            cols.append(col)
+            vals.append((-1) ** j)
+    return sparse.csc_matrix(
+        (vals, (rows, cols)),
+        shape=(S.n_simplices(k - 1), S.n_simplices(k)),
+        dtype=np.int64,
+    )
+
+
+def complex_to_json(S) -> str:
+    """The ``complex.json`` text from tuple lists and ``incidence_matrix``."""
+    payload = {
+        "n_vertices": S.n_vertices,
+        "simplices": {str(k): [list(s) for s in _tuples(S, k)] for k in range(1, S.dim + 1)},
+        "incidence": {},
+    }
+    for k in range(1, S.dim + 1):
+        mat = incidence_matrix(S, k).tocoo()
+        payload["incidence"][str(k)] = {
+            "shape": list(mat.shape),
+            "entries": [
+                [int(r), int(c), int(v)] for r, c, v in zip(mat.row, mat.col, mat.data)
+            ],
+        }
+    return json.dumps(payload)
 
 
 @dataclass

@@ -31,8 +31,8 @@ class TestBuild:
     def test_three_active_makes_filled_triangle(self):
         S = build_complex(bits([[0, 1, 1, 1, 0]]), k_max=2)
         assert S.n_simplices(0) == 5
-        assert S.simplices[1] == [(1, 2), (1, 3), (2, 3)]
-        assert S.simplices[2] == [(1, 2, 3)]
+        assert S.simplices[1].tolist() == [[1, 2], [1, 3], [2, 3]]
+        assert S.simplices[2].tolist() == [[1, 2, 3]]
 
     def test_zero_column_only_vertices(self):
         S = build_complex(bits([[0, 0, 0, 0]]), k_max=2)
@@ -44,15 +44,15 @@ class TestBuild:
         S = build_complex(bits([[1, 1, 1, 1, 1]]), k_max=2)
         expect_edges = sorted(combinations(range(5), 2))
         expect_tris = sorted(combinations(range(5), 3))
-        assert S.simplices[1] == expect_edges
-        assert S.simplices[2] == expect_tris
+        assert S.simplices[1].tolist() == [list(s) for s in expect_edges]
+        assert S.simplices[2].tolist() == [list(s) for s in expect_tris]
         assert len(expect_tris) == 10 and len(expect_edges) == 10
 
     def test_column_range_restricts(self):
         m = bits([[1, 1, 0], [0, 1, 1]])
         S = build_complex(m, k_max=2, columns=range(1, 2))
         assert S.dim == 1
-        assert S.simplices[1] == [(1, 2)]
+        assert S.simplices[1].tolist() == [[1, 2]]
 
     def test_determinism(self):
         rng = np.random.default_rng(5)
@@ -64,6 +64,17 @@ class TestBuild:
     def test_out_of_range_column(self):
         with pytest.raises(ValueError):
             build_complex(bits([[1, 0]]), 2, columns=[3])
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_non_2d_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            build_complex(np.ones(shape, dtype=np.int8), 2)
+
+    def test_constructor_sorts_and_deduplicates(self):
+        S = SimplicialComplex(3, {1: [(1, 2), (0, 1), (1, 2), (0, 2)], 2: [[0, 1, 2]]})
+        assert S.simplices[1].tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert S.faces[2].tolist() == [[2, 1, 0]]
+        assert S == SimplicialComplex(3, {1: np.array([[0, 1], [0, 2], [1, 2]]), 2: [(0, 1, 2)]})
 
 
 class TestIncidence:
@@ -92,13 +103,13 @@ class TestIncidence:
         S = build_complex(m, 2)
         for k in range(1, S.dim + 1):
             b = incidence_matrix(S, k).tocsc()
-            for col, simplex in enumerate(S.simplices[k]):
+            for col, simplex in enumerate(S.simplices[k].tolist()):
                 entries = b[:, col].toarray().ravel()
                 assert np.count_nonzero(entries) == k + 1
                 # taking rows in face order j=0..k gives +1,-1,+1,...
                 for j in range(k + 1):
-                    face = simplex[:j] + simplex[j + 1:]
-                    row = S.index[k - 1][face]
+                    row = S.faces[k][col, j]
+                    assert S.simplices[k - 1][row].tolist() == simplex[:j] + simplex[j + 1:]
                     assert entries[row] == (-1) ** j
 
 
@@ -156,9 +167,10 @@ class TestLaplacian:
         m = (rng.random((8, 40)) < 0.3).astype(np.int8)
         S = build_complex(m, 2)
         for k in range(1, S.dim + 1):
-            for s in S.simplices[k]:
+            lower = {tuple(s) for s in S.simplices[k - 1].tolist()}
+            for s in map(tuple, S.simplices[k].tolist()):
                 for j in range(len(s)):
-                    assert s[:j] + s[j + 1:] in S.index[k - 1]
+                    assert s[:j] + s[j + 1:] in lower
 
     def test_unclosed_complex_rejected(self):
         with pytest.raises(ValueError):
@@ -247,16 +259,51 @@ class TestExport:
         assert sorted(entries) == [[0, 0, 1], [1, 0, -1], [2, 0, 1]]
 
     @pytest.mark.parametrize(
-        "simplices, message",
+        "n_vertices, simplices, message",
         [
-            ({"1": [[1, 0]]}, "simplex vertices not strictly ascending: (1, 0)"),
-            ({"1": [[0, 1, 2]]}, "simplex (0, 1, 2) stored at wrong dimension 1"),
-            ({"1": [[0, 3]]}, "simplex (0, 3) has out-of-range vertices"),
-            ({"2": [[0, 1, 2]]}, "complex not closed under faces: (0, 1, 2) lacks (1, 2)"),
+            (3, {"1": [[1, 0]]}, "simplex vertices not strictly ascending: (1, 0)"),
+            (3, {"1": [[0, 1, 2]]}, "simplex (0, 1, 2) stored at wrong dimension 1"),
+            (3, {"1": [[0, 3]]}, "simplex (0, 3) has out-of-range vertices"),
+            (3, {"2": [[0, 1, 2]]}, "complex not closed under faces: (0, 1, 2) lacks (1, 2)"),
+            (3, {"1": [[0, 1.7]]}, "simplex (0, 1.7) has non-integer vertices"),
+            (3, {"1": [[False, True]]}, "simplex (False, True) has non-integer vertices"),
+            (3, {"1": [[0, 1], [0, True]]}, "simplex (0, True) has non-integer vertices"),
+            (3, {"1": [[0, "1"]]}, "simplex (0, '1') has non-integer vertices"),
+            (3, {"1": [[0, 2**64]]}, f"simplex (0, {2**64}) has out-of-range vertices"),
+            (2.5, {}, "n_vertices must be an integer, got 2.5"),
+            (False, {}, "n_vertices must be an integer, got False"),
         ],
-        ids=["descending", "wrong_dimension", "out_of_range", "missing_faces"],
+        ids=[
+            "descending", "wrong_dimension", "out_of_range", "missing_faces",
+            "float_vertex", "bool_vertices", "bool_among_ints", "str_vertex", "huge_vertex",
+            "float_n_vertices", "bool_n_vertices",
+        ],
     )
-    def test_invalid_json_complex_rejected(self, simplices, message):
-        text = json.dumps({"n_vertices": 3, "simplices": simplices})
+    def test_invalid_json_complex_rejected(self, n_vertices, simplices, message):
+        text = json.dumps({"n_vertices": n_vertices, "simplices": simplices})
         with pytest.raises(ValueError, match=re.escape(message)):
             complex_from_json(text)
+
+
+class TestOracle:
+    @given(face_closed_complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_match_tuple_construction(self, complex_and_bits):
+        """The array complex equals the one built and indexed a simplex at
+        a time: its simplex rows, its face rows, every incidence matrix bit
+        for bit, and the ``complex.json`` text."""
+        S, m = complex_and_bits
+        want = oracle.build_simplices(m, max(S.dim, 1))
+        assert sorted(S.simplices) == [0] + sorted(want)
+        assert sorted(S.faces) == sorted(want)
+        for k, rows in S.simplices.items():
+            assert not rows.flags.writeable
+            if k:
+                assert [tuple(s) for s in rows.tolist()] == want[k]
+                assert S.faces[k].dtype == np.intp and not S.faces[k].flags.writeable
+                np.testing.assert_array_equal(S.faces[k], oracle.faces(S, k))
+                got, ref = incidence_matrix(S, k), oracle.incidence_matrix(S, k)
+                for attr in ("indptr", "indices", "data"):
+                    a, b = getattr(got, attr), getattr(ref, attr)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert complex_to_json(S) == oracle.complex_to_json(S)
