@@ -43,11 +43,15 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 
 def _vertex_rows(k: int, simplices) -> np.ndarray:
-    """The k-simplices as an ``(N, k+1)`` intp array; names a simplex with a
-    wrong vertex count or a vertex that is no integer or exceeds intp."""
+    """The k-simplices as an ``(N, k+1)`` intp array; names a simplex that
+    is no vertex list, has a wrong vertex count or a vertex that is no
+    integer or exceeds intp."""
     if isinstance(simplices, np.ndarray) and simplices.dtype.kind in "iu":
         return simplices.astype(np.intp, copy=False).reshape(len(simplices), k + 1)
     simplices = list(simplices)
+    flat = next((s for s in simplices if not isinstance(s, (list, tuple, np.ndarray))), None)
+    if flat is not None:
+        raise ValueError(f"simplex {flat!r} at dimension {k} is not a list of vertices")
     if not all(map(_is_integer, set(map(type, chain.from_iterable(simplices))))):
         bad = next(s for s in simplices if not all(_is_integer(type(v)) for v in s))
         raise ValueError(f"simplex {tuple(bad)} has non-integer vertices")
@@ -204,11 +208,13 @@ def incidence_matrix(S: SimplicialComplex, k: int) -> sparse.csc_matrix:
 @dataclass
 class HodgeLaplacian:
     """Lower and upper halves of the Laplacian at dimension k, each sparse
-    symmetric integer; the Laplacian is their sum."""
+    symmetric integer; the Laplacian is their sum. ``boundary`` is the
+    incidence matrix B_k the lower half was built from (None at k = 0)."""
 
     k: int
     lower: sparse.csr_matrix
     upper: sparse.csr_matrix
+    boundary: sparse.csc_matrix | None = None
 
 
 def hodge_laplacian(S: SimplicialComplex, k: int) -> HodgeLaplacian:
@@ -228,7 +234,7 @@ def complex_laplacians(S: SimplicialComplex) -> dict[int, HodgeLaplacian]:
         zero = sparse.csr_matrix((S.n_simplices(k),) * 2, dtype=np.int64)
         lower = (b[k].T @ b[k]).tocsr() if k in b else zero
         upper = (b[k + 1] @ b[k + 1].T).tocsr() if k + 1 in b else zero.copy()
-        laps[k] = HodgeLaplacian(k=k, lower=lower, upper=upper)
+        laps[k] = HodgeLaplacian(k=k, lower=lower, upper=upper, boundary=b.get(k))
     return laps
 
 
@@ -261,7 +267,24 @@ def complex_to_json(S: SimplicialComplex) -> str:
 
 
 def complex_from_json(text: str) -> SimplicialComplex:
-    """The complex of a ``complex_to_json`` dump, from its simplex lists."""
+    """The complex of a ``complex_to_json`` dump, from its simplex lists;
+    a dump of any other shape is rejected, naming what is wrong."""
     payload = json.loads(text)
-    simplices = {int(k): lst for k, lst in payload.get("simplices", {}).items()}
+    if not isinstance(payload, dict):
+        raise ValueError(f"complex dump must be a JSON object, got {type(payload).__name__}")
+    if "n_vertices" not in payload:
+        raise ValueError("complex dump has no n_vertices")
+    lists = payload.get("simplices", {})
+    if not isinstance(lists, dict):
+        raise ValueError(
+            f"complex dump's simplices must be an object keyed by dimension, "
+            f"got {type(lists).__name__}"
+        )
+    simplices = {}
+    for key, rows in lists.items():
+        if not (key.isdecimal() and int(key) >= 1):
+            raise ValueError(f"complex dump has dimension key {key!r}, expected an integer >= 1")
+        if not isinstance(rows, list):
+            raise ValueError(f"complex dump's dimension {key} is not a list of simplices")
+        simplices[int(key)] = rows
     return SimplicialComplex(payload["n_vertices"], simplices)

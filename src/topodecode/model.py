@@ -4,9 +4,11 @@ feedforward / recurrent / graph baselines, behind one predict interface.
 All models are parameterized by named ``autodiff.Var`` leaves, drawn from
 the config's seed by the model itself, so a single reverse pass yields every
 gradient. Each model has one graph forward: it serves training, and
-prediction evaluates it under ``autodiff.no_grad``. The SCRNN's k >= 1
-inputs depend only on a bin's binarized column, so its forward filters each
-distinct activity pattern of a batch once. Its first layer's input terms
+prediction evaluates it under ``autodiff.no_grad``. Each simplicial
+dimension's filters read only that dimension's cochain, so the SCRNN's
+forward filters each distinct count column (k = 0) and each distinct
+k-coactivity column (k >= 1) of a batch once, and all bins without a
+co-active k-simplex share one zero column. Its first layer's input terms
 are computed per batch from those distinct columns, so no array the size of
 the recording is kept beside the prepared data.
 """
@@ -29,7 +31,6 @@ from .complexes import (
     complex_from_json,
     complex_laplacians,
     complex_to_json,
-    incidence_matrix,
 )
 from .spikes import SpikeDataset, bin_labels, bin_spikes, binarize_rows
 
@@ -337,13 +338,14 @@ class ScrnnModel(Decoder):
         # Lower and upper Laplacian half per dimension: a float64 CSR
         # matrix, or a FactoredHalf where the factor is much sparser than
         # the half (the dense lower halves of large complexes).
-        b = {k: incidence_matrix(complex_, k) for k in range(1, complex_.dim + 1)}
+        laps = complex_laplacians(complex_)
+        b = {k: lap.boundary for k, lap in laps.items()}
         self.laps = {
             k: (
-                _half_operator(lap.lower, b.get(k), lower=True),
+                _half_operator(lap.lower, b[k], lower=True),
                 _half_operator(lap.upper, b.get(k + 1), lower=False),
             )
-            for k, lap in complex_laplacians(complex_).items()
+            for k, lap in laps.items()
         }
         super().__init__(complex_.total_simplices, cfg)
 
@@ -391,28 +393,36 @@ class ScrnnModel(Decoder):
                 power = product(lap, power)
                 yield power
 
-    def _input_terms(self, prep: PreparedData, cols, pattern_bins):
-        """Laplacian powers of the first layer's input cochains, keyed by
-        dimension: per dimension a list of float64 arrays in term order.
+    def _input_terms(self, prep: PreparedData, cols, bins):
+        """Laplacian powers of the first layer's distinct input cochains,
+        and which of them each bin reads; returns ``(terms, reads)``.
 
-        ``terms[0]`` holds the powers of the spike counts, one column per
-        entry of ``cols``. For k >= 1 the input cochain is the coactivity
-        of a bin's binarized column, so ``terms[k]`` holds one column per
-        entry of ``pattern_bins``, a bin holding each distinct pattern. The
-        counts and coactivities are integers, and each column of a sparse
-        product depends on the same input column alone, so these columns
-        equal per-bin products bit for bit.
+        ``terms`` holds per dimension a list of C-contiguous float64 arrays
+        in term order. ``terms[0]`` holds the powers of the spike counts,
+        one column per entry of ``cols``. For k >= 1 the input cochain of a
+        bin is its k-coactivity, and ``terms[k]`` holds one column per
+        distinct coactivity column of ``bins``, in lexicographic order, so
+        every bin without a co-active k-simplex reads one zero column.
+        ``bins[i]`` reads column ``reads[k][i]``. The counts and
+        coactivities are integers, and each column of a sparse product
+        depends on the same input column alone, so these columns equal
+        per-bin products bit for bit.
         """
         if self.complex is not prep.complex and self.complex != prep.complex:
             raise ValueError("the model's complex differs from the prepared data's")
-        bits = prep.bits[:, pattern_bins]
-        inputs = [prep.counts[:, cols]] + [
-            coactivity_matrix(self.complex, bits, k) for k in range(1, self.complex.dim + 1)
-        ]
-        return {
-            k: list(self._laplacian_powers(k, x.astype(np.float64), operator.matmul))
+        bits = prep.bits[:, bins]
+        inputs, reads = [prep.counts[:, cols]], {}
+        for k in range(1, self.complex.dim + 1):
+            act = coactivity_matrix(self.complex, bits, k)
+            first, reads[k] = _column_patterns(act)
+            inputs.append(act[:, first])
+        terms = {
+            k: list(
+                self._laplacian_powers(k, np.ascontiguousarray(x, np.float64), operator.matmul)
+            )
             for k, x in enumerate(inputs)
         }
+        return terms, reads
 
     def _sc_forward(self, first_terms):
         """The simplicial stack, one column per column of ``first_terms``;
@@ -452,13 +462,13 @@ class ScrnnModel(Decoder):
         and where the windows read them; returns ``(terms, positions)``.
 
         ``terms[0]`` has one column per distinct count column of the batch
-        and ``terms[k]``, k >= 1, one per distinct activity pattern of its
-        bins, in lexicographic order. They are computed per batch, so a
+        and ``terms[k]``, k >= 1, one per distinct k-coactivity column of
+        its bins (see ``_input_terms``). They are computed per batch, so a
         batch costs memory in its own size, not the recording's.
-        ``positions`` is ``(col_pos, pat_pos, bin_pos)``: bin ``i`` of the
-        batch's distinct bins reads count columns ``col_pos[i]`` and pattern
-        ``pat_pos[i]``, and window ``w`` reads bin ``bin_pos[w, t]`` at step
-        ``t``.
+        ``positions`` is ``(reads, bin_pos)``: bin ``i`` of the batch's
+        distinct bins reads count columns ``reads[0][i]`` and column
+        ``reads[k][i]`` of ``terms[k]``, and window ``w`` reads bin
+        ``bin_pos[w, t]`` at step ``t``.
         """
         bins, bin_pos = np.unique(
             np.asarray(starts)[:, None] + np.arange(self.seq_len), return_inverse=True
@@ -466,26 +476,22 @@ class ScrnnModel(Decoder):
         cols, col_pos = np.unique(
             bins[:, None] + np.arange(self.n_col), return_inverse=True
         )
-        first, pat_pos = _column_patterns(prep.bits[:, bins])
-        terms = self._input_terms(prep, cols, bins[first])
-        positions = (
-            col_pos.reshape(len(bins), self.n_col),
-            pat_pos,
-            bin_pos.reshape(-1, self.seq_len),
-        )
-        return terms, positions
+        terms, reads = self._input_terms(prep, cols, bins)
+        reads[0] = col_pos.reshape(len(bins), self.n_col)
+        return terms, (reads, bin_pos.reshape(-1, self.seq_len))
 
     def forward(self, prep, starts, training=False, rng=None):
         """Build the graph; returns (prediction Var, targets array).
 
         The simplicial stack runs once per distinct count column at k=0 and
-        once per distinct activity pattern at k >= 1 of the batch. Each
-        dimension's output is projected through its column block of
-        ``rnn.l0.w_h``, and the projections are gathered per bin, then per
-        step, as the first recurrent layer's inputs.
+        once per distinct k-coactivity column at k >= 1 of the batch; a
+        dimension's filters read only its own cochain. Each dimension's
+        output is projected through its column block of ``rnn.l0.w_h``, and
+        the projections are gathered per bin, then per step, as the first
+        recurrent layer's inputs.
         """
         starts = np.asarray(starts)
-        first, (col_pos, pat_pos, bin_pos) = self._batch_inputs(prep, starts)
+        first, (reads, bin_pos) = self._batch_inputs(prep, starts)
         outs = self._sc_forward(first)
         w_h = self.params["rnn.l0.w_h"]
         bounds = np.cumsum([0] + [self.complex.n_simplices(k) for k in outs])
@@ -494,8 +500,8 @@ class ScrnnModel(Decoder):
             for k in outs
         ]
         per_bin = ad.add_n(
-            [ad.take_cols(proj[0], col_pos[:, c]) for c in range(self.n_col)]
-            + [ad.take_cols(proj[k], pat_pos) for k in range(1, len(proj))]
+            [ad.take_cols(proj[0], reads[0][:, c]) for c in range(self.n_col)]
+            + [ad.take_cols(proj[k], reads[k]) for k in range(1, len(proj))]
         )
         steps = [ad.take_cols(per_bin, bin_pos[:, t]) for t in range(self.seq_len)]
         pred = _rnn_forward_var(

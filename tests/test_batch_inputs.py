@@ -1,6 +1,7 @@
 """The SCRNN's first-layer input terms, computed per batch: what the
 windows read through ``positions`` and what one batch costs in memory."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -37,9 +38,10 @@ def powers(lap, x, degree, top):
 @settings(max_examples=100, deadline=None)
 def test_batch_terms_equal_per_bin_powers(complex_and_bits, degree, n_col, seq_len, data):
     """Read through ``positions``, every window step's count columns and
-    activity pattern carry the Laplacian powers of that bin's own counts
-    and coactivity, bit for bit, over start sets with repeats. The batch
-    holds each distinct count column and each distinct pattern once."""
+    k-coactivity columns carry the Laplacian powers of that bin's own
+    counts and coactivity, bit for bit, over start sets with repeats. The
+    batch holds each distinct count column and each distinct k-coactivity
+    column once, as C-contiguous float64 arrays."""
     S, bits = complex_and_bits
     n_bins = bits.shape[1]
     last = n_bins - seq_len - n_col + 1
@@ -55,26 +57,54 @@ def test_batch_terms_equal_per_bin_powers(complex_and_bits, degree, n_col, seq_l
     cfg = TrainConfig(hidden_size=2, sc_layers=1, n_filters=1, degree=degree,
                       seq_len=seq_len, n_col=n_col)
     model = ScrnnModel(S, cfg)
-    terms, (col_pos, pat_pos, bin_pos) = model._batch_inputs(prep, starts)
+    terms, (reads, bin_pos) = model._batch_inputs(prep, starts)
 
     laps = complex_laplacians(S)
     coactivity = {k: oracle.coactivity_matrix(S, bits, k) for k in range(1, S.dim + 1)}
     bins = (starts[:, None] + np.arange(seq_len)).reshape(-1)
     cols = (bins[:, None] + np.arange(n_col)).reshape(-1)
+    assert sorted(terms) == sorted(reads) == list(range(S.dim + 1))
+    assert all(t.dtype == np.float64 and t.flags.c_contiguous for ts in terms.values() for t in ts)
     assert terms[0][0].shape[1] == len(np.unique(cols))
     for k in range(1, S.dim + 1):
-        assert terms[k][0].shape[1] == len(np.unique(bits[:, bins], axis=1).T)
+        assert terms[k][0].shape[1] == np.unique(coactivity[k][:, bins], axis=1).shape[1]
     for w, start in enumerate(starts):
         for t in range(seq_len):
             b, i = start + t, bin_pos[w, t]
             for c in range(n_col):
                 want = powers(laps[0], counts[:, b + c], degree, S.dim)
-                got = [term[:, col_pos[i, c]] for term in terms[0]]
+                got = [term[:, reads[0][i, c]] for term in terms[0]]
                 assert [g.tobytes() for g in got] == [p.tobytes() for p in want]
             for k in range(1, S.dim + 1):
                 want = powers(laps[k], coactivity[k][:, b], degree, S.dim)
-                got = [term[:, pat_pos[i]] for term in terms[k]]
+                got = [term[:, reads[k][i]] for term in terms[k]]
                 assert [g.tobytes() for g in got] == [p.tobytes() for p in want]
+
+
+def test_batch_without_coactive_neurons_reads_one_zero_column():
+    """A batch in which no bin has two active neurons gives each k >= 1
+    dimension a single zero input column, which every bin reads, while the
+    counts keep one column per distinct count column; ``predict`` on such
+    windows stays finite."""
+    cfg = TrainConfig(kind="hd", hidden_size=8, sc_layers=2, degree=2, k_max=2,
+                      seq_len=5, p=0.7, seed=3)
+    prep = prepare(simulate_hd(HdSimConfig(n_neurons=10, duration=60.0, seed=3)), cfg)
+    model = ScrnnModel(prep.complex, cfg)
+    assert model.complex.dim == 2
+    n, n_bins = prep.bits.shape
+    every_bin = np.arange(n_bins)
+    bits = np.zeros_like(prep.bits)
+    bits[every_bin % n, every_bin] = every_bin % 3 > 0
+    lone = dataclasses.replace(prep, bits=bits, counts=prep.counts * bits + bits)
+    starts = lone.train_starts[:32]
+    terms, (reads, _) = model._batch_inputs(lone, starts)
+    assert terms[0][0].shape[1] > 1
+    for k in (1, 2):
+        assert [t.shape for t in terms[k]] == [(model.complex.n_simplices(k), 1)] * len(terms[k])
+        assert not any(t.any() for t in terms[k])
+        assert not reads[k].any()
+    pred = model.predict(lone, np.concatenate([lone.test_starts, lone.train_starts]))
+    assert np.isfinite(pred).all()
 
 
 def batch_peak_bytes(model, prep, starts):

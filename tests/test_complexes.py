@@ -15,6 +15,7 @@ from topodecode.complexes import (
     build_complex,
     coactivity_matrix,
     complex_from_json,
+    complex_laplacians,
     complex_to_json,
     hodge_laplacian,
     incidence_matrix,
@@ -162,6 +163,21 @@ class TestLaplacian:
             assert prod.shape == (S.n_simplices(k - 1), S.n_simplices(k + 1))
             assert not np.any(prod.toarray())
 
+    @given(face_closed_complexes())
+    @settings(max_examples=100, deadline=None)
+    def test_laplacians_keep_their_incidence_matrices(self, complex_and_bits):
+        """Each Laplacian carries the B_k its lower half was built from, bit
+        for bit the matrix ``incidence_matrix`` builds (None at k = 0)."""
+        S, _ = complex_and_bits
+        laps = complex_laplacians(S)
+        assert laps[0].boundary is None
+        for k in range(1, S.dim + 1):
+            got, want = laps[k].boundary, incidence_matrix(S, k)
+            assert got.format == want.format == "csc"
+            for attr in ("indptr", "indices", "data"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_face_closure_invariant(self):
         rng = np.random.default_rng(3)
         m = (rng.random((8, 40)) < 0.3).astype(np.int8)
@@ -243,6 +259,11 @@ class TestCoactivity:
         assert np.array_equal(empty, oracle.coactivity_matrix(S, m, 1))
 
 
+def dump(n_vertices, simplices):
+    """A ``complex_to_json``-shaped payload without incidence entries."""
+    return {"n_vertices": n_vertices, "simplices": simplices}
+
+
 class TestExport:
     def test_json_roundtrip(self):
         rng = np.random.default_rng(17)
@@ -259,30 +280,44 @@ class TestExport:
         assert sorted(entries) == [[0, 0, 1], [1, 0, -1], [2, 0, 1]]
 
     @pytest.mark.parametrize(
-        "n_vertices, simplices, message",
+        "payload, message",
         [
-            (3, {"1": [[1, 0]]}, "simplex vertices not strictly ascending: (1, 0)"),
-            (3, {"1": [[0, 1, 2]]}, "simplex (0, 1, 2) stored at wrong dimension 1"),
-            (3, {"1": [[0, 3]]}, "simplex (0, 3) has out-of-range vertices"),
-            (3, {"2": [[0, 1, 2]]}, "complex not closed under faces: (0, 1, 2) lacks (1, 2)"),
-            (3, {"1": [[0, 1.7]]}, "simplex (0, 1.7) has non-integer vertices"),
-            (3, {"1": [[False, True]]}, "simplex (False, True) has non-integer vertices"),
-            (3, {"1": [[0, 1], [0, True]]}, "simplex (0, True) has non-integer vertices"),
-            (3, {"1": [[0, "1"]]}, "simplex (0, '1') has non-integer vertices"),
-            (3, {"1": [[0, 2**64]]}, f"simplex (0, {2**64}) has out-of-range vertices"),
-            (2.5, {}, "n_vertices must be an integer, got 2.5"),
-            (False, {}, "n_vertices must be an integer, got False"),
+            (dump(3, {"1": [[1, 0]]}), "simplex vertices not strictly ascending: (1, 0)"),
+            (dump(3, {"1": [[0, 1, 2]]}), "simplex (0, 1, 2) stored at wrong dimension 1"),
+            (dump(3, {"1": [[0, 3]]}), "simplex (0, 3) has out-of-range vertices"),
+            (dump(3, {"2": [[0, 1, 2]]}),
+             "complex not closed under faces: (0, 1, 2) lacks (1, 2)"),
+            (dump(3, {"1": [[0, 1.7]]}), "simplex (0, 1.7) has non-integer vertices"),
+            (dump(3, {"1": [[False, True]]}), "simplex (False, True) has non-integer vertices"),
+            (dump(3, {"1": [[0, 1], [0, True]]}), "simplex (0, True) has non-integer vertices"),
+            (dump(3, {"1": [[0, "1"]]}), "simplex (0, '1') has non-integer vertices"),
+            (dump(3, {"1": [[0, 2**64]]}), f"simplex (0, {2**64}) has out-of-range vertices"),
+            (dump(2.5, {}), "n_vertices must be an integer, got 2.5"),
+            (dump(False, {}), "n_vertices must be an integer, got False"),
+            (dump(3, {"1": [5]}), "simplex 5 at dimension 1 is not a list of vertices"),
+            (dump(3, {"1": [[0, 1], "01"]}),
+             "simplex '01' at dimension 1 is not a list of vertices"),
+            (dump(3, {"1": 5}), "complex dump's dimension 1 is not a list of simplices"),
+            ({"simplices": {"1": [[0, 1]]}}, "complex dump has no n_vertices"),
+            (dump(3, {"x": [[0, 1]]}),
+             "complex dump has dimension key 'x', expected an integer >= 1"),
+            (dump(3, {"0": [[0]]}),
+             "complex dump has dimension key '0', expected an integer >= 1"),
+            (dump(3, [[0, 1]]),
+             "complex dump's simplices must be an object keyed by dimension, got list"),
+            ([3, {"1": [[0, 1]]}], "complex dump must be a JSON object, got list"),
         ],
         ids=[
             "descending", "wrong_dimension", "out_of_range", "missing_faces",
             "float_vertex", "bool_vertices", "bool_among_ints", "str_vertex", "huge_vertex",
-            "float_n_vertices", "bool_n_vertices",
+            "float_n_vertices", "bool_n_vertices", "bare_number_simplex", "string_simplex",
+            "bare_number_dimension", "no_n_vertices", "non_integer_key", "zero_key",
+            "list_of_simplices", "top_level_list",
         ],
     )
-    def test_invalid_json_complex_rejected(self, n_vertices, simplices, message):
-        text = json.dumps({"n_vertices": n_vertices, "simplices": simplices})
+    def test_invalid_json_complex_rejected(self, payload, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            complex_from_json(text)
+            complex_from_json(json.dumps(payload))
 
 
 class TestOracle:

@@ -63,8 +63,8 @@ class TestFactoredHalf:
     @settings(max_examples=80, deadline=None)
     def test_input_terms_bitwise_equal_to_assembled_products(self, complex_and_bits, degree, seed):
         """Counts and 0/1 coactivities are integers, and so are the factors,
-        so the input terms through factored halves carry the same bits as
-        the products with the assembled halves."""
+        so the input terms through factored halves, gathered per bin, carry
+        the same bits as the products with the assembled halves."""
         S, bits = complex_and_bits
         counts = np.random.default_rng(seed).integers(0, 6, size=bits.shape) * bits
         n_bins = bits.shape[1]
@@ -79,7 +79,8 @@ class TestFactoredHalf:
             if force:
                 factor_every_half(model)
             every_bin = np.arange(n_bins)
-            terms = model._input_terms(prep, every_bin, every_bin)
+            terms, reads = model._input_terms(prep, every_bin, every_bin)
+            reads[0] = every_bin
             for k in range(S.dim + 1):
                 x = counts if k == 0 else coactivity_matrix(S, bits, k)
                 want = [x.astype(np.float64)]
@@ -88,7 +89,7 @@ class TestFactoredHalf:
                     for _ in range(degree if present else 0):
                         power = half.astype(np.float64) @ power
                         want.append(power)
-                got = terms[k]
+                got = [term[:, reads[k]] for term in terms[k]]
                 assert len(got) == len(want)
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and g.dtype == w.dtype
