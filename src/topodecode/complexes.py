@@ -251,24 +251,18 @@ def coactivity_matrix(S: SimplicialComplex, bits: np.ndarray, k: int) -> np.ndar
 
 
 def complex_to_json(S: SimplicialComplex) -> str:
-    """Dump simplex lists and signed incidence triples for inspection."""
-    payload = {
+    """Dump the vertex count and the simplex lists of each dimension >= 1;
+    faces and incidence matrices follow from them."""
+    return json.dumps({
         "n_vertices": S.n_vertices,
         "simplices": {str(k): S.simplices[k].tolist() for k in range(1, S.dim + 1)},
-        "incidence": {},
-    }
-    for k in range(1, S.dim + 1):
-        mat = incidence_matrix(S, k).tocoo()
-        payload["incidence"][str(k)] = {
-            "shape": list(mat.shape),
-            "entries": np.column_stack([mat.row, mat.col, mat.data]).tolist(),
-        }
-    return json.dumps(payload)
+    })
 
 
 def complex_from_json(text: str) -> SimplicialComplex:
     """The complex of a ``complex_to_json`` dump, from its simplex lists;
-    a dump of any other shape is rejected, naming what is wrong."""
+    a dump of any other shape is rejected, naming what is wrong. Any other
+    key, such as the ``incidence`` block older dumps hold, is ignored."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError(f"complex dump must be a JSON object, got {type(payload).__name__}")

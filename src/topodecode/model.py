@@ -1,8 +1,9 @@
 """Decoder models: the simplicial-convolutional recurrent network and the
 feedforward / recurrent / graph baselines, behind one predict interface.
 
-All models are parameterized by named ``autodiff.Var`` leaves, drawn from
-the config's seed by the model itself, so a single reverse pass yields every
+Each architecture lists its named ``autodiff.Var`` leaves in one table,
+``param_specs``; a new model draws them from the config's seed, and a loaded
+one is checked against it without drawing. A single reverse pass yields every
 gradient. Each model has one graph forward: it serves training, and
 prediction evaluates it under ``autodiff.no_grad``. Each simplicial
 dimension's filters read only that dimension's cochain, so the SCRNN's
@@ -201,15 +202,31 @@ def _dropout_mask(rng, shape, rate):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
+# The dense parameters' names: the read-out, Elman layer j's input and
+# recurrent matrices and their biases, and dense layer j's matrix and bias.
+HEAD = ("head.w", "head.b")
+
+
+def _rnn_names(j):
+    return tuple(f"rnn.l{j}.{m}" for m in ("w_h", "w_c", "b_h", "b_c"))
+
+
+def _fc_names(j):
+    return f"fc.l{j}.w", f"fc.l{j}.b"
+
+
+def _head(params, x):
+    """The linear read-out to the two output coordinates."""
+    w, b = (params[name] for name in HEAD)
+    return ad.add(ad.matmul(w, x), b)
+
+
 def _rnn_forward_var(params, n_layers, seq_inputs, training, dropout, rng):
     """Shared Elman-stack graph builder; ``seq_inputs[t]`` is the first
     layer's input product ``w_h @ z_t``, one column per window."""
     batch = seq_inputs[0].value.shape[1]
     for j in range(n_layers):
-        w_h = params[f"rnn.l{j}.w_h"]
-        w_c = params[f"rnn.l{j}.w_c"]
-        b_h = params[f"rnn.l{j}.b_h"]
-        b_c = params[f"rnn.l{j}.b_c"]
+        w_h, w_c, b_h, b_c = (params[name] for name in _rnn_names(j))
         if j:
             seq_inputs = [ad.matmul(w_h, z_t) for z_t in seq_inputs]
         hidden = w_c.value.shape[0]
@@ -225,26 +242,52 @@ def _rnn_forward_var(params, n_layers, seq_inputs, training, dropout, rng):
                 for o in outputs
             ]
         seq_inputs = outputs
-    return ad.add(ad.matmul(params["head.w"], seq_inputs[-1]), params["head.b"])
+    return _head(params, seq_inputs[-1])
 
 
-def _rnn_params(input_width, cfg, rng) -> dict:
-    """The Elman stack's ``rnn.l*`` and the head's ``head.*`` parameters,
-    uniform within +-1/sqrt(fan-in) per matrix and +-1/sqrt(H) per bias."""
+def _rnn_specs(input_width, cfg) -> list:
+    """The Elman stack's ``rnn.l*`` and the head's rows of a parameter
+    table: uniform within +-1/sqrt(fan-in) per input matrix and +-1/sqrt(H)
+    otherwise."""
     hidden = cfg.hidden_size
     bound_h = 1.0 / np.sqrt(hidden)
-    params = {}
-    in_dim = input_width
+    rows, in_dim = [], input_width
     for j in range(cfg.nn_layers):
-        bound_in = 1.0 / np.sqrt(in_dim)
-        params[f"rnn.l{j}.w_h"] = ad.var(rng.uniform(-bound_in, bound_in, (hidden, in_dim)))
-        params[f"rnn.l{j}.w_c"] = ad.var(rng.uniform(-bound_h, bound_h, (hidden, hidden)))
-        params[f"rnn.l{j}.b_h"] = ad.var(rng.uniform(-bound_h, bound_h, (hidden, 1)))
-        params[f"rnn.l{j}.b_c"] = ad.var(rng.uniform(-bound_h, bound_h, (hidden, 1)))
+        shapes = [(hidden, in_dim), (hidden, hidden), (hidden, 1), (hidden, 1)]
+        rows += zip(_rnn_names(j), shapes, [1.0 / np.sqrt(in_dim)] + [bound_h] * 3)
         in_dim = hidden
-    params["head.w"] = ad.var(rng.uniform(-bound_h, bound_h, (2, hidden)))
-    params["head.b"] = ad.var(rng.uniform(-bound_h, bound_h, (2, 1)))
-    return params
+    return rows + [(HEAD[0], (2, hidden), bound_h), (HEAD[1], (2, 1), bound_h)]
+
+
+def _draw_params(specs, seed) -> dict:
+    """A parameter table's rows drawn in order from one generator seeded
+    with ``seed``: uniform within +-bound, or zeros (drawing nothing) where
+    the bound is None."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: ad.var(np.zeros(shape) if bound is None else rng.uniform(-bound, bound, shape))
+        for name, shape, bound in specs
+    }
+
+
+def _checked_params(specs, params) -> dict:
+    """``params`` in table order, once their names, shapes and dtypes match
+    the table; otherwise the first mismatching name in sorted order is named."""
+    shapes = {name: shape for name, shape, _ in specs}
+    for name in sorted(shapes.keys() | params.keys()):
+        if name not in params:
+            raise ValueError(f"checkpoint has no parameter {name}")
+        if name not in shapes:
+            raise ValueError(f"checkpoint parameter {name} is not part of the configured model")
+        got = params[name].value
+        if got.shape != shapes[name]:
+            raise ValueError(
+                f"checkpoint parameter {name} has shape {got.shape}, "
+                f"the config implies {shapes[name]}"
+            )
+        if got.dtype != np.float64:
+            raise ValueError(f"checkpoint parameter {name} has dtype {got.dtype}, expected float64")
+    return {name: params[name] for name in shapes}
 
 
 class FactoredHalf:
@@ -281,20 +324,24 @@ def _half_operator(half, b, lower):
 
 class Decoder:
     """What every decoder shares: the config it was built with, its named
-    parameters drawn by ``_init_params`` (``load_checkpoint`` replaces
-    them), the MSE loss of a batch, and a prediction through the graph
-    ``forward`` evaluated without recording."""
+    parameters, the MSE loss of a batch, and a prediction through the graph
+    ``forward`` evaluated without recording. ``param_specs(cfg)`` lists one
+    ``(name, shape, init bound)`` row per parameter in draw order: a new
+    model draws them from ``cfg.seed``, a loaded one checks its ``params``."""
 
     complex = None
     # Consecutive count columns a bin reads; the SCRNN sets its config's.
     n_col = 1
 
-    def __init__(self, input_width, cfg):
+    def __init__(self, input_width, cfg, params=None):
         self.input_width = input_width
         self.seq_len = cfg.seq_len
         self.nn_layers = cfg.nn_layers
         self.dropout = cfg.dropout
-        self.params = self._init_params(cfg, np.random.default_rng(cfg.seed))
+        specs = self.param_specs(cfg)
+        if params is None:
+            params = _draw_params(specs, cfg.seed)
+        self.params = _checked_params(specs, params)
 
     @property
     def n_neurons(self) -> int:
@@ -328,7 +375,9 @@ class Decoder:
 class ScrnnModel(Decoder):
     """Simplicial convolution layers feeding a stacked Elman RNN."""
 
-    def __init__(self, complex_, cfg, arch="scrnn"):
+    def __init__(self, complex_, cfg, arch="scrnn", params=None):
+        if arch == "gnn" and (complex_ is None or complex_.dim > 1):
+            raise ValueError("gnn baseline requires a complex capped at dimension 1")
         self.arch = arch
         self.complex = complex_
         self.sc_layers = cfg.sc_layers
@@ -347,25 +396,22 @@ class ScrnnModel(Decoder):
             )
             for k, lap in laps.items()
         }
-        super().__init__(complex_.total_simplices, cfg)
+        super().__init__(complex_.total_simplices, cfg, params)
 
     @property
     def n_neurons(self) -> int:
         return self.complex.n_vertices
 
-    def _init_params(self, cfg, rng):
-        """Each filter's weights uniform within +-1/sqrt(its term count),
-        then the recurrent stack's."""
-        params = {}
+    def param_specs(self, cfg) -> list:
+        """Each filter's scalar weights, uniform within +-1/sqrt(its term
+        count), then the recurrent stack's rows."""
+        rows = []
         for li in range(self.sc_layers):
             for fi in range(self.n_filters):
                 for k in range(self.complex.dim + 1):
                     names = self._filter_names(li, fi, k)
-                    bound = 1.0 / np.sqrt(len(names))
-                    draw = rng.uniform(-bound, bound, size=len(names))
-                    params.update(zip(names, map(ad.var, draw)))
-        params.update(_rnn_params(self.input_width, cfg, rng))
-        return params
+                    rows += [(name, (), 1.0 / np.sqrt(len(names))) for name in names]
+        return rows + _rnn_specs(self.input_width, cfg)
 
     def _filter_names(self, li, fi, k):
         """Weight names in the fixed term order: identity, lower powers,
@@ -493,7 +539,7 @@ class ScrnnModel(Decoder):
         starts = np.asarray(starts)
         first, (reads, bin_pos) = self._batch_inputs(prep, starts)
         outs = self._sc_forward(first)
-        w_h = self.params["rnn.l0.w_h"]
+        w_h = self.params[_rnn_names(0)[0]]
         bounds = np.cumsum([0] + [self.complex.n_simplices(k) for k in outs])
         proj = [
             ad.matmul(ad.take_cols(w_h, np.arange(bounds[k], bounds[k + 1])), outs[k])
@@ -523,20 +569,16 @@ class FfnnModel(Decoder):
     def n_neurons(self) -> int:
         return self.input_width // self.seq_len
 
-    def _init_params(self, cfg, rng):
-        params = {}
-        in_dim = self.input_width
+    def param_specs(self, cfg) -> list:
+        """Matrices uniform within +-1/sqrt(fan-in), biases zero. The first
+        matrix reads ``seq_len`` count columns of ``n_neurons`` rows."""
+        rows, in_dim = [], self.n_neurons * self.seq_len
         for j in range(self.nn_layers):
+            w, b = _fc_names(j)
             bound = 1.0 / np.sqrt(in_dim)
-            params[f"fc.l{j}.w"] = ad.var(
-                rng.uniform(-bound, bound, (cfg.layer_width, in_dim))
-            )
-            params[f"fc.l{j}.b"] = ad.var(np.zeros((cfg.layer_width, 1)))
+            rows += [(w, (cfg.layer_width, in_dim), bound), (b, (cfg.layer_width, 1), None)]
             in_dim = cfg.layer_width
-        bound = 1.0 / np.sqrt(in_dim)
-        params["head.w"] = ad.var(rng.uniform(-bound, bound, (2, in_dim)))
-        params["head.b"] = ad.var(np.zeros((2, 1)))
-        return params
+        return rows + [(HEAD[0], (2, in_dim), 1.0 / np.sqrt(in_dim)), (HEAD[1], (2, 1), None)]
 
     def _batch_inputs(self, prep, starts):
         _check_neurons(self.n_neurons, prep)
@@ -552,13 +594,11 @@ class FfnnModel(Decoder):
     def forward(self, prep, starts, training=False, rng=None):
         x, targets = self._batch_inputs(prep, starts)
         for j in range(self.nn_layers):
-            x = ad.relu(
-                ad.add(ad.matmul(self.params[f"fc.l{j}.w"], x), self.params[f"fc.l{j}.b"])
-            )
+            w, b = (self.params[name] for name in _fc_names(j))
+            x = ad.relu(ad.add(ad.matmul(w, x), b))
             if training and self.dropout > 0.0:
                 x = ad.mul_mask(x, _dropout_mask(rng, x.value.shape, self.dropout))
-        pred = ad.add(ad.matmul(self.params["head.w"], x), self.params["head.b"])
-        return pred, targets
+        return _head(self.params, x), targets
 
 
 class RnnModel(Decoder):
@@ -566,13 +606,13 @@ class RnnModel(Decoder):
 
     arch = "rnn"
 
-    def _init_params(self, cfg, rng):
-        return _rnn_params(self.input_width, cfg, rng)
+    def param_specs(self, cfg) -> list:
+        return _rnn_specs(self.input_width, cfg)
 
     def forward(self, prep, starts, training=False, rng=None):
         _check_neurons(self.n_neurons, prep)
         starts = np.asarray(starts)
-        w_h = self.params["rnn.l0.w_h"]
+        w_h = self.params[_rnn_names(0)[0]]
         seq_inputs = [
             ad.matmul(w_h, ad.var(prep.counts[:, starts + t].astype(np.float64)))
             for t in range(self.seq_len)
@@ -586,12 +626,8 @@ class RnnModel(Decoder):
 
 def build_model(arch: str, prep: PreparedData, cfg):
     """Construct a decoder of the requested architecture on prepared data."""
-    if arch == "scrnn":
-        return ScrnnModel(prep.complex, cfg, arch="scrnn")
-    if arch == "gnn":
-        if prep.complex is None or prep.complex.dim > 1:
-            raise ValueError("gnn baseline requires a complex capped at dimension 1")
-        return ScrnnModel(prep.complex, cfg, arch="gnn")
+    if arch in ("scrnn", "gnn"):
+        return ScrnnModel(prep.complex, cfg, arch=arch)
     if arch == "ffnn":
         return FfnnModel(prep.counts.shape[0] * cfg.seq_len, cfg)
     if arch == "rnn":
@@ -638,7 +674,7 @@ def save_checkpoint(dirpath, model, cfg) -> None:
 
 def _json_params(path, arch):
     """Parameters by name from an older checkpoint's ``weights.json``: one
-    entry per SC scalar and per dense matrix cell."""
+    entry per SC scalar and per dense matrix cell, scattered per matrix."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload["arch"] != arch:
@@ -649,28 +685,19 @@ def _json_params(path, arch):
         f"sc.l{e['layer'] - 1}.f{e['filter'] - 1}.k{e['dim']}.{e['term']}": ad.var(e["value"])
         for e in payload["sc"]
     }
-    params.update(_dense_params_from_entries(payload["dense"]))
-    return params
-
-
-def _dense_params_from_entries(entries):
-    """Dense parameters by name, one numpy scatter per matrix."""
     grouped: dict[tuple, list] = {}
-    for e in entries:
+    for e in payload["dense"]:
         grouped.setdefault((e["layer"], e["matrix"]), []).append(e)
-    params = {}
-    for (layer, matrix), cells in sorted(grouped.items()):
+    heads = dict(zip(("w_out", "b_out"), HEAD))
+    for (layer, matrix), cells in grouped.items():
         rows, cols, values = (
             np.fromiter((e[key] for e in cells), dtype, len(cells))
             for key, dtype in (("row", np.int64), ("col", np.int64), ("value", np.float64))
         )
         arr = np.zeros((rows.max() + 1, cols.max() + 1))
         arr[rows, cols] = values
-        if matrix in ("w_out", "b_out"):
-            name = "head.w" if matrix == "w_out" else "head.b"
-        else:
-            name = f"{'fc' if matrix in ('w', 'b') else 'rnn'}.l{layer}.{matrix}"
-        params[name] = ad.var(arr)
+        stack = "fc" if matrix in ("w", "b") else "rnn"
+        params[heads.get(matrix, f"{stack}.l{layer}.{matrix}")] = ad.var(arr)
     return params
 
 
@@ -685,7 +712,7 @@ def load_checkpoint(dirpath):
         raise ValueError(f"unknown architecture {arch!r} in checkpoint")
     npz = os.path.join(dirpath, "weights.npz")
     if os.path.exists(npz):
-        # Dtypes as stored, for ``_check_params``; nothing is unpickled.
+        # Dtypes as stored, for ``_checked_params``; nothing is unpickled.
         try:
             with np.load(npz, allow_pickle=False) as arrays:
                 params = {name: ad.Var(arrays[name]) for name in arrays.files}
@@ -693,40 +720,14 @@ def load_checkpoint(dirpath):
             raise ValueError(f"{npz}: {exc}") from exc
     else:
         params = _json_params(os.path.join(dirpath, "weights.json"), arch)
-    first = "fc.l0.w" if arch == "ffnn" else "rnn.l0.w_h"
-    for name in ("head.w", "head.b", first):
+    first = _fc_names(0)[0] if arch == "ffnn" else _rnn_names(0)[0]
+    for name in (*HEAD, first):
         if name not in params or params[name].value.ndim != 2:
             raise ValueError(f"checkpoint has no {name} matrix")
 
     if arch in ("scrnn", "gnn"):
         with open(os.path.join(dirpath, "complex.json"), "r", encoding="utf-8") as fh:
             complex_ = complex_from_json(fh.read())
-        model = ScrnnModel(complex_, cfg, arch=arch)
-    else:
-        model_cls = FfnnModel if arch == "ffnn" else RnnModel
-        model = model_cls(params[first].value.shape[1], cfg)
-    _check_params(model.params, params)
-    model.params = params
-    return model, cfg
-
-
-def _check_params(drawn, loaded):
-    """Reject loaded weights whose names, shapes or dtypes differ from those
-    the config draws, naming the first offending parameter."""
-    for name in sorted(drawn.keys() | loaded.keys()):
-        if name not in loaded:
-            raise ValueError(f"checkpoint has no parameter {name}")
-        if name not in drawn:
-            raise ValueError(
-                f"checkpoint parameter {name} is not part of the configured model"
-            )
-        want, got = drawn[name].value, loaded[name].value
-        if want.shape != got.shape:
-            raise ValueError(
-                f"checkpoint parameter {name} has shape {got.shape}, "
-                f"the config implies {want.shape}"
-            )
-        if want.dtype != got.dtype:
-            raise ValueError(
-                f"checkpoint parameter {name} has dtype {got.dtype}, expected {want.dtype}"
-            )
+        return ScrnnModel(complex_, cfg, arch=arch, params=params), cfg
+    model_cls = FfnnModel if arch == "ffnn" else RnnModel
+    return model_cls(params[first].value.shape[1], cfg, params), cfg

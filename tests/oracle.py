@@ -14,6 +14,8 @@ plain dataclasses below.
 
 More references live here for the same reason: ``coactivity_matrix``
 in its vertex-count form (a sparse membership matrix times the bits);
+``init_params``, a new model's initial weights drawn a filter or a matrix
+at a time, where the package draws its parameter table row by row;
 ``weights_json``, the ``json.dumps`` of the entry dicts that older
 checkpoints hold as ``weights.json``, which the package still reads; and
 the simplicial complex built and indexed one simplex at a time, as tuple
@@ -271,20 +273,11 @@ def incidence_matrix(S, k: int) -> sparse.csc_matrix:
 
 
 def complex_to_json(S) -> str:
-    """The ``complex.json`` text from tuple lists and ``incidence_matrix``."""
+    """The ``complex.json`` text from tuple lists."""
     payload = {
         "n_vertices": S.n_vertices,
         "simplices": {str(k): [list(s) for s in _tuples(S, k)] for k in range(1, S.dim + 1)},
-        "incidence": {},
     }
-    for k in range(1, S.dim + 1):
-        mat = incidence_matrix(S, k).tocoo()
-        payload["incidence"][str(k)] = {
-            "shape": list(mat.shape),
-            "entries": [
-                [int(r), int(c), int(v)] for r, c, v in zip(mat.row, mat.col, mat.data)
-            ],
-        }
     return json.dumps(payload)
 
 
@@ -408,3 +401,63 @@ def weights_json(model) -> str:
     sc_entries, dense_entries = weight_entries(model)
     payload = {"arch": model.arch, "sc": sc_entries, "dense": dense_entries}
     return json.dumps(payload, separators=(",", ":"))
+
+
+def _rnn_init(input_width, cfg, rng) -> dict:
+    hidden = cfg.hidden_size
+    bound_h = 1.0 / np.sqrt(hidden)
+    params = {}
+    in_dim = input_width
+    for j in range(cfg.nn_layers):
+        bound_in = 1.0 / np.sqrt(in_dim)
+        params[f"rnn.l{j}.w_h"] = rng.uniform(-bound_in, bound_in, (hidden, in_dim))
+        params[f"rnn.l{j}.w_c"] = rng.uniform(-bound_h, bound_h, (hidden, hidden))
+        params[f"rnn.l{j}.b_h"] = rng.uniform(-bound_h, bound_h, (hidden, 1))
+        params[f"rnn.l{j}.b_c"] = rng.uniform(-bound_h, bound_h, (hidden, 1))
+        in_dim = hidden
+    params["head.w"] = rng.uniform(-bound_h, bound_h, (2, hidden))
+    params["head.b"] = rng.uniform(-bound_h, bound_h, (2, 1))
+    return params
+
+
+def _ffnn_init(input_width, cfg, rng) -> dict:
+    params = {}
+    in_dim = input_width
+    for j in range(cfg.nn_layers):
+        bound = 1.0 / np.sqrt(in_dim)
+        params[f"fc.l{j}.w"] = rng.uniform(-bound, bound, (cfg.layer_width, in_dim))
+        params[f"fc.l{j}.b"] = np.zeros((cfg.layer_width, 1))
+        in_dim = cfg.layer_width
+    bound = 1.0 / np.sqrt(in_dim)
+    params["head.w"] = rng.uniform(-bound, bound, (2, in_dim))
+    params["head.b"] = np.zeros((2, 1))
+    return params
+
+
+def init_params(model, cfg) -> dict:
+    """The initial weights of a new ``model`` by name, in draw order, from
+    one generator seeded with ``cfg.seed``: per filter and dimension one
+    draw of all its scalars, uniform within +-1/sqrt(their count); then per
+    matrix one draw, uniform within +-1/sqrt(fan-in) for the input matrices
+    and +-1/sqrt(H) for the rest of the Elman stack and head. The FFNN's
+    biases are zeros and draw nothing."""
+    rng = np.random.default_rng(cfg.seed)
+    if model.arch == "ffnn":
+        return _ffnn_init(model.input_width, cfg, rng)
+    if model.arch == "rnn":
+        return _rnn_init(model.input_width, cfg, rng)
+    params = {}
+    top = model.complex.dim
+    for li in range(cfg.sc_layers):
+        for fi in range(cfg.n_filters):
+            for k in range(top + 1):
+                base = f"sc.l{li}.f{fi}.k{k}"
+                names = [f"{base}.w0"]
+                if k >= 1:
+                    names += [f"{base}.low{i}" for i in range(1, cfg.degree + 1)]
+                if k < top:
+                    names += [f"{base}.up{i}" for i in range(1, cfg.degree + 1)]
+                bound = 1.0 / np.sqrt(len(names))
+                params.update(zip(names, rng.uniform(-bound, bound, size=len(names))))
+    params.update(_rnn_init(model.input_width, cfg, rng))
+    return params

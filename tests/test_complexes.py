@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 from itertools import combinations
 
@@ -259,6 +260,9 @@ class TestCoactivity:
         assert np.array_equal(empty, oracle.coactivity_matrix(S, m, 1))
 
 
+LEGACY_COMPLEX = pathlib.Path(__file__).parent / "data" / "legacy_scrnn" / "complex.json"
+
+
 def dump(n_vertices, simplices):
     """A ``complex_to_json``-shaped payload without incidence entries."""
     return {"n_vertices": n_vertices, "simplices": simplices}
@@ -276,8 +280,15 @@ class TestExport:
         payload = json.loads(complex_to_json(triangle_complex))
         assert payload["n_vertices"] == 3
         assert payload["simplices"]["2"] == [[0, 1, 2]]
-        entries = payload["incidence"]["2"]["entries"]
-        assert sorted(entries) == [[0, 0, 1], [1, 0, -1], [2, 0, 1]]
+        assert "incidence" not in payload
+
+    def test_legacy_dump_with_incidence_loads(self):
+        """An older dump's incidence block is ignored: it loads to the
+        complex its re-dump, which has no such block, loads to."""
+        text = LEGACY_COMPLEX.read_text()
+        assert "incidence" in json.loads(text)
+        S = complex_from_json(text)
+        assert complex_from_json(complex_to_json(S)) == S
 
     @pytest.mark.parametrize(
         "payload, message",

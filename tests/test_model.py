@@ -382,6 +382,44 @@ class TestBaselines:
             assert np.all(np.isfinite(out))
 
 
+class TestInitialWeights:
+    @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
+    @pytest.mark.parametrize("cfg_kw", [
+        dict(sc_layers=1, n_filters=1, degree=1, nn_layers=1),
+        dict(sc_layers=3, n_filters=3, degree=2, nn_layers=2),
+        dict(sc_layers=1, n_filters=3, degree=2, nn_layers=2),
+        dict(sc_layers=3, n_filters=1, degree=1, nn_layers=1, seed=1009),
+    ], ids=["small", "large", "wide", "deep"])
+    def test_equal_to_vector_draws(self, arch, cfg_kw):
+        """A new model's weights are the bits and the name order of one
+        draw per filter and per matrix (``oracle.init_params``), which is
+        how they were drawn before the parameter tables."""
+        prep, cfg = small_hd_prep(arch=arch, p=0.6, **cfg_kw)
+        model = build_model(arch, prep, cfg)
+        if arch == "scrnn":
+            assert model.complex.dim == 2
+        want = oracle.init_params(model, cfg)
+        assert list(model.params) == list(want)
+        for name, value in want.items():
+            value = np.asarray(value, dtype=np.float64)
+            got = model.params[name].value
+            assert got.dtype == np.float64 and got.shape == value.shape, name
+            assert got.tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
+    def test_load_checkpoint_draws_nothing(self, tmp_path, arch, monkeypatch):
+        prep, cfg = small_hd_prep(arch=arch)
+        model = build_model(arch, prep, cfg)
+        save_checkpoint(tmp_path, model, cfg)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded, _ = load_checkpoint(tmp_path)
+        assert list(loaded.params) == list(model.params)
+
+
 LEGACY_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "legacy_scrnn"
 
 
@@ -475,6 +513,13 @@ class TestCheckpoint:
             "ffnn", {},
             lambda p: p.update({"fc.l0.w": p["fc.l0.w"].ravel()}),
             r"checkpoint has no fc\.l0\.w matrix$",
+        ),
+        (
+            # 49 columns are no whole number of seq_len = 5 steps.
+            "ffnn", {},
+            lambda p: p.update({"fc.l0.w": p["fc.l0.w"][:, :49]}),
+            r"checkpoint parameter fc\.l0\.w has shape \(128, 49\), "
+            r"the config implies \(128, 45\)$",
         ),
     ])
     def test_weights_checked_against_config(self, tmp_path, arch, cfg_kw, edit, message):
@@ -585,6 +630,17 @@ class TestCheckpoint:
                 name = heads.get(e["matrix"], f"rnn.l{e['layer']}.{e['matrix']}")
                 cell = npz[name][e["row"], e["col"]]
                 assert cell.tobytes() == np.float64(e["value"]).tobytes()
+
+    def test_gnn_needs_complex_capped_at_one(self, tmp_path):
+        """A checkpoint whose config names ``gnn`` is refused on a 2-D
+        complex, as ``build_model`` refuses it."""
+        prep, cfg = small_hd_prep(arch="scrnn", p=0.6)
+        assert prep.complex.dim == 2
+        save_checkpoint(tmp_path, build_model("scrnn", prep, cfg), cfg)
+        config = tmp_path / "config.txt"
+        config.write_text(config.read_text().replace("arch = scrnn", "arch = gnn"))
+        with pytest.raises(ValueError, match="gnn baseline requires a complex capped at dimension 1"):
+            load_checkpoint(tmp_path)
 
     def test_legacy_arch_must_match_config(self, tmp_path):
         shutil.copytree(LEGACY_CHECKPOINT, tmp_path, dirs_exist_ok=True)
