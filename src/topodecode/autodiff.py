@@ -3,10 +3,13 @@
 Every differentiable quantity is wrapped in a :class:`Var`. Operations build
 a graph of parent links plus vector-Jacobian callbacks; :func:`backward`
 walks the graph once in reverse topological order and accumulates gradients
-into ``Var.grad``. Accumulation order is fixed by graph construction order,
-so repeated runs with identical inputs are bitwise reproducible. Inside
-:func:`no_grad` nodes keep no parents, so intermediates are freed as soon as
-the forward is done with them.
+into the leaves' ``Var.grad``. The walk consumes the graph: each interior
+node drops its gradient and its links once its VJP has run, so only the
+leaves keep ``.grad`` and the graph cannot be walked twice. Accumulation
+order is fixed by graph construction order, so repeated runs with identical
+inputs are bitwise reproducible. Inside :func:`no_grad` nodes keep no
+parents, so intermediates are freed as soon as the forward is done with
+them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "add",
     "add_n",
     "matmul",
+    "block_matmul",
     "spmm",
     "relu",
     "tanh",
@@ -105,6 +109,36 @@ def matmul(a: Var, b: Var) -> Var:
     return Var(out, (a, b), vjp)
 
 
+def block_matmul(w: Var, blocks: list[Var]) -> Var:
+    """The products ``w[:, rows_k] @ blocks[k]`` side by side, where the row
+    blocks ``rows_k`` of ``blocks`` split ``w``'s columns in order: block k
+    reads the next ``blocks[k].shape[0]`` columns of ``w`` and fills the
+    next ``blocks[k].shape[1]`` output columns. A block may be empty. The
+    VJP writes ``w``'s gradient once, whole."""
+    rows = np.cumsum([0] + [x.value.shape[0] for x in blocks])
+    cols = np.cumsum([0] + [x.value.shape[1] for x in blocks])
+    if rows[-1] != w.value.shape[1]:
+        raise ValueError(f"blocks have {rows[-1]} rows in all, w has {w.value.shape[1]} columns")
+
+    def w_block(k):
+        # The F-ordered copy ``w[:, index_array]`` makes: BLAS then sums in
+        # the same order as for a column gather followed by a product.
+        return np.asfortranarray(w.value[:, rows[k]:rows[k + 1]])
+
+    out = np.concatenate([w_block(k) @ x.value for k, x in enumerate(blocks)], axis=1)
+
+    def vjp(g):
+        dw = np.empty_like(w.value)
+        dxs = []
+        for k, x in enumerate(blocks):
+            g_k = np.ascontiguousarray(g[:, cols[k]:cols[k + 1]])
+            dw[:, rows[k]:rows[k + 1]] = g_k @ x.value.T
+            dxs.append(w_block(k).T @ g_k)
+        return (dw, *dxs)
+
+    return Var(out, (w, *blocks), vjp)
+
+
 def spmm(m, x: Var) -> Var:
     """Constant linear operator times a variable dense matrix. ``m`` is a
     sparse matrix or any operator with ``@`` whose ``.T`` applies its
@@ -187,7 +221,14 @@ def mse(pred: Var, target: np.ndarray) -> Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate gradients of ``root`` (a scalar) into every reachable node."""
+    """Accumulate gradients of ``root`` (a scalar) into every reachable leaf.
+
+    The walk consumes the graph: once a node's VJP has run, the node drops
+    its gradient, parents and VJP, so each interior value and gradient is
+    freed as soon as nothing later needs it. Only leaves keep ``.grad``.
+    A second contribution to a node is added in place only into an array
+    this walk allocated itself, never into one a VJP returned, which may be
+    shared with another node."""
     order: list[Var] = []
     seen: set[int] = set()
     stack: list[tuple[Var, bool]] = [(root, False)]
@@ -204,12 +245,23 @@ def backward(root: Var) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
+    # Every node stays alive in ``order`` until popped, so ids are unique.
+    owned: set[int] = set()
     root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+    while order:
+        node = order.pop()
+        if node._vjp is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if parent.grad is None:
+                    parent.grad = g
+                elif id(parent) in owned:
+                    parent.grad += g
+                else:
+                    parent.grad = parent.grad + g
+                    owned.add(id(parent))
+        node.grad, node._parents, node._vjp = None, (), None
 
 
 @contextmanager

@@ -531,23 +531,21 @@ class ScrnnModel(Decoder):
 
         The simplicial stack runs once per distinct count column at k=0 and
         once per distinct k-coactivity column at k >= 1 of the batch; a
-        dimension's filters read only its own cochain. Each dimension's
-        output is projected through its column block of ``rnn.l0.w_h``, and
-        the projections are gathered per bin, then per step, as the first
+        dimension's filters read only its own cochain. One projection node
+        multiplies each dimension's output by its column block of
+        ``rnn.l0.w_h`` and lays the products side by side; each bin gathers
+        its columns from that node, each dimension's reads offset by its
+        first column, and the bins are gathered per step as the first
         recurrent layer's inputs.
         """
         starts = np.asarray(starts)
         first, (reads, bin_pos) = self._batch_inputs(prep, starts)
-        outs = self._sc_forward(first)
-        w_h = self.params[_rnn_names(0)[0]]
-        bounds = np.cumsum([0] + [self.complex.n_simplices(k) for k in outs])
-        proj = [
-            ad.matmul(ad.take_cols(w_h, np.arange(bounds[k], bounds[k + 1])), outs[k])
-            for k in outs
-        ]
+        outs = list(self._sc_forward(first).values())
+        proj = ad.block_matmul(self.params[_rnn_names(0)[0]], outs)
+        offsets = np.cumsum([0] + [out.shape[1] for out in outs])
         per_bin = ad.add_n(
-            [ad.take_cols(proj[0], reads[0][:, c]) for c in range(self.n_col)]
-            + [ad.take_cols(proj[k], reads[k]) for k in range(1, len(proj))]
+            [ad.take_cols(proj, reads[0][:, c]) for c in range(self.n_col)]
+            + [ad.take_cols(proj, reads[k] + offsets[k]) for k in range(1, len(outs))]
         )
         steps = [ad.take_cols(per_bin, bin_pos[:, t]) for t in range(self.seq_len)]
         pred = _rnn_forward_var(
@@ -572,6 +570,11 @@ class FfnnModel(Decoder):
     def param_specs(self, cfg) -> list:
         """Matrices uniform within +-1/sqrt(fan-in), biases zero. The first
         matrix reads ``seq_len`` count columns of ``n_neurons`` rows."""
+        if self.n_neurons < 1:
+            raise ValueError(
+                f"{_fc_names(0)[0]} is {self.input_width} wide, fewer than one "
+                f"neuron's seq_len = {self.seq_len} count columns"
+            )
         rows, in_dim = [], self.n_neurons * self.seq_len
         for j in range(self.nn_layers):
             w, b = _fc_names(j)

@@ -68,7 +68,10 @@ def _clip_global_norm(grads: dict, max_norm: float) -> None:
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction."""
+    """Adaptive moment estimation with bias correction. The moments of all
+    parameters sit in flat buffers in sorted name order, and each step
+    updates them and the parameters' values in place through two scratch
+    buffers of the same length. ``m[name]`` and ``v[name]`` are views."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -76,23 +79,40 @@ class Adam:
         self.params = params
         self.lr = learning_rate
         self.t = 0
-        self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
+        self._names = sorted(params)
+        bounds = np.cumsum([0] + [params[name].value.size for name in self._names])
+        self._parts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._m, self._v, self._g, self._s = np.zeros((4, bounds[-1]))
+        self.m, self.v = (
+            {
+                name: flat[part].reshape(params[name].value.shape)
+                for name, part in zip(self._names, self._parts)
+            }
+            for flat in (self._m, self._v)
+        )
 
     def step(self, grads: dict) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        correct1 = 1.0 - b1 ** self.t
-        correct2 = 1.0 - b2 ** self.t
-        for name in sorted(self.params):
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / correct1
-            v_hat = self.v[name] / correct2
-            self.params[name].value = self.params[name].value - self.lr * m_hat / (
-                np.sqrt(v_hat) + self.eps
-            )
+        m, v, g, s = self._m, self._v, self._g, self._s
+        np.concatenate([np.ravel(grads[name]) for name in self._names], out=g)
+        # In the order of m = b1 * m + (1 - b1) * g,
+        # v = b2 * v + (1 - b2) * g * g and
+        # p = p - lr * (m / correct1) / (sqrt(v / correct2) + eps).
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(v, 1.0 - b2 ** self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, 1.0 - b1 ** self.t, out=s)
+        s *= self.lr
+        s /= g
+        for name, part in zip(self._names, self._parts):
+            p = self.params[name].value
+            p -= s[part].reshape(p.shape)
 
 
 def _validation_loss(model, prep) -> float:
@@ -107,8 +127,7 @@ def train(model, prep: PreparedData, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, cfg.learning_rate)
     curve = []
-    best_val = np.inf
-    best_weights = param_values(model)
+    best_val, best_weights = np.inf, None
     train_starts = prep.train_starts
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_starts))
@@ -138,7 +157,8 @@ def train(model, prep: PreparedData, cfg: TrainConfig):
         if val_loss < best_val:
             best_val = val_loss
             best_weights = param_values(model)
-    set_param_values(model, best_weights)
+    if best_weights is not None:
+        set_param_values(model, best_weights)
     return model, curve
 
 

@@ -141,6 +141,21 @@ def test_shared_subexpression_accumulates():
     np.testing.assert_allclose(x.grad, 8.0 * 1.5)
 
 
+def test_shared_gradient_arrays_are_not_added_into():
+    """``add`` hands one gradient array to both parents; a second
+    contribution to one of them must not change the other's."""
+    rng = np.random.default_rng(10)
+    x = ad.var(rng.normal(size=(3, 2)))
+    y = ad.var(rng.normal(size=(3, 2)))
+    t = rng.normal(size=(3, 2))
+
+    def build():
+        a = ad.tanh(x)
+        return ad.mse(ad.add(ad.add_n([a, ad.relu(y)]), a), t)
+
+    fd_check(build, [x, y])
+
+
 def test_backward_is_deterministic():
     rng = np.random.default_rng(5)
     w = ad.var(rng.normal(size=(4, 4)))
@@ -156,3 +171,93 @@ def test_backward_is_deterministic():
 
     g1, g2 = run(), run()
     assert np.array_equal(g1, g2)
+
+
+def test_backward_consumes_graph_and_leaves_keep_grads():
+    """After the walk, interior nodes hold no gradient, parents or VJP;
+    leaves, including one read twice, keep theirs."""
+    rng = np.random.default_rng(7)
+    w = ad.var(rng.normal(size=(3, 4)))
+    x = ad.var(rng.normal(size=(4, 2)))
+    hidden = ad.tanh(ad.matmul(w, x))
+    both = ad.add_n([hidden, ad.relu(ad.matmul(w, x))])
+    loss = ad.mse(both, np.zeros((3, 2)))
+    ad.backward(loss)
+    for node in (hidden, both, loss):
+        assert node.grad is None and node._parents == () and node._vjp is None
+    assert w.grad.shape == (3, 4) and x.grad.shape == (4, 2)
+    assert np.any(w.grad != 0.0) and np.any(x.grad != 0.0)
+
+
+def test_backward_peak_memory_does_not_grow_with_chain_length():
+    """On a chain of same-sized tanh nodes the walk's traced peak is a few
+    node sizes: each interior gradient and value is freed once its VJP
+    has run, instead of all of them living until the walk ends."""
+    import tracemalloc
+
+    node_bytes = 8 * 20_000
+    x = ad.var(np.linspace(-1.0, 1.0, node_bytes // 8).reshape(100, -1))
+    peaks = []
+    for n in (10, 40):
+        h = x
+        for _ in range(n):
+            h = ad.tanh(h)
+        loss = ad.mse(h, np.zeros(h.shape))
+        del h
+        x.grad = None
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 6 * node_bytes, peaks
+
+
+BLOCK_SHAPES = [(3, 2), (0, 4), (2, 1), (1, 3)]
+
+
+def test_block_matmul_matches_finite_differences():
+    """Blocks of unequal width, one of them empty (no k-simplices), as for
+    a complex with no triangles."""
+    rng = np.random.default_rng(8)
+    w = ad.var(rng.normal(size=(4, 6)))
+    xs = [ad.var(rng.normal(size=shape)) for shape in BLOCK_SHAPES]
+    t = rng.normal(size=(4, 10))
+    out = ad.block_matmul(w, xs)
+    assert out.shape == (4, 10)
+    fd_check(lambda: ad.mse(ad.block_matmul(w, xs), t), [w, *xs])
+    with pytest.raises(ValueError, match="blocks have 5 rows in all, w has 6 columns"):
+        ad.block_matmul(w, xs[:3])
+
+
+def test_block_matmul_bitwise_equals_gather_and_products():
+    """Per-bin gathers from the one projection node give the values and
+    gradients, bit for bit, of gathers from a column gather of each block
+    of ``w`` times its block. With OpenBLAS on x86-64, a C-ordered block
+    of these sizes gives other bits than the gather's F-ordered copy."""
+    rng = np.random.default_rng(9)
+    shapes = [(48, 300), (876, 97), (0, 1), (30, 50)]
+    w = ad.var(rng.normal(size=(64, sum(n for n, _ in shapes))))
+    xs = [ad.var(rng.normal(size=shape)) for shape in shapes]
+    reads = [rng.integers(c, size=40) for _, c in shapes]
+    g = rng.normal(size=(64, 40))
+    rows = np.cumsum([0] + [n for n, _ in shapes])
+    cols = np.cumsum([0] + [c for _, c in shapes])
+
+    def run(gather):
+        for leaf in (w, *xs):
+            leaf.grad = None
+        per_bin = ad.add_n([gather(k) for k in range(len(xs))])
+        ad.backward(ad.mul_mask(per_bin, g))
+        return [per_bin.value, w.grad] + [x.grad for x in xs]
+
+    blocks = [
+        ad.matmul(ad.take_cols(w, np.arange(rows[k], rows[k + 1])), x) for k, x in enumerate(xs)
+    ]
+    composed = run(lambda k: ad.take_cols(blocks[k], reads[k]))
+    fused = ad.block_matmul(w, xs)
+    assert fused.value.tobytes() == np.concatenate([b.value for b in blocks], axis=1).tobytes()
+    got = run(lambda k: ad.take_cols(fused, reads[k] + cols[k]))
+    for a, b in zip(got, composed):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

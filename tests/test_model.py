@@ -521,6 +521,16 @@ class TestCheckpoint:
             r"checkpoint parameter fc\.l0\.w has shape \(128, 49\), "
             r"the config implies \(128, 45\)$",
         ),
+        pytest.param(
+            # Fewer columns than one neuron's seq_len = 5 steps: rejected
+            # before an init bound divides by a zero fan-in, which under
+            # -W error would raise its warning in place of this message.
+            "ffnn", {},
+            lambda p: p.update({"fc.l0.w": p["fc.l0.w"][:, :3]}),
+            r"fc\.l0\.w is 3 wide, fewer than one neuron's seq_len = 5 count columns$",
+            marks=pytest.mark.filterwarnings("error"),
+            id="ffnn-narrower-than-seq_len",
+        ),
     ])
     def test_weights_checked_against_config(self, tmp_path, arch, cfg_kw, edit, message):
         """A checkpoint whose weights do not fit its config is rejected at

@@ -126,6 +126,39 @@ class TestBackward:
                 )
 
 
+class TestAdam:
+    def test_in_place_step_equals_allocating_formula(self):
+        """Five steps update 0-d and 2-D parameters in place, bit for bit as
+        the allocating formula does; gradients may be numpy scalars, as
+        ``np.vdot`` returns them for 0-d parameters."""
+        rng = np.random.default_rng(11)
+        shapes = {"a": (), "b": (3, 4), "c": (1, 1)}
+        params = {name: ad.var(rng.normal(size=shape)) for name, shape in shapes.items()}
+        arrays = {name: p.value for name, p in params.items()}
+        want = {name: p.value.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        optimizer = Adam(params, learning_rate=0.01)
+        b1, b2, eps, lr = Adam.beta1, Adam.beta2, Adam.eps, 0.01
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            grads["a"] = np.float64(grads["a"])
+            if t == 3:
+                grads["b"][0] = 0.0
+            optimizer.step(grads)
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                want[name] = want[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name, p in params.items():
+                assert p.value is arrays[name]
+                assert p.value.tobytes() == want[name].tobytes()
+                assert optimizer.m[name].tobytes() == m[name].tobytes()
+                assert optimizer.v[name].tobytes() == v[name].tobytes()
+
+
 class TestTrainLoop:
     def test_zero_learning_rate_keeps_weights(self):
         prep, cfg = tiny_prep_and_cfg(learning_rate=0.0, epochs=2)
@@ -135,6 +168,17 @@ class TestTrainLoop:
         after = param_values(model)
         assert all(np.array_equal(before[k], after[k]) for k in before)
         assert len({round(row["train_loss"], 12) for row in curve}) == 1
+
+    def test_zero_epochs_leave_model_untouched(self):
+        prep, cfg = tiny_prep_and_cfg(epochs=0)
+        model = build_model("scrnn", prep, cfg)
+        values = {name: p.value for name, p in model.params.items()}
+        before = param_values(model)
+        model, curve = train(model, prep, cfg)
+        assert curve == []
+        for name, p in model.params.items():
+            assert p.value is values[name]
+            assert p.value.tobytes() == before[name].tobytes()
 
     def test_one_epoch_one_batch(self):
         prep, cfg = tiny_prep_and_cfg(epochs=1, batch_size=10_000)
