@@ -10,6 +10,12 @@ order is fixed by graph construction order, so repeated runs with identical
 inputs are bitwise reproducible. Inside :func:`no_grad` nodes keep no
 parents, so intermediates are freed as soon as the forward is done with
 them.
+
+Besides the elementwise and matrix primitives, two ops are one node each
+where their composition would be several: :func:`relu_lincomb`, a
+simplicial filter (a weighted sum of Laplacian-power terms) with its ReLU,
+and :func:`block_matmul`, one weight matrix's column blocks times several
+inputs side by side.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ __all__ = [
     "relu",
     "tanh",
     "take_cols",
-    "lincomb",
+    "relu_lincomb",
     "mul_mask",
     "mse",
     "backward",
@@ -182,17 +188,21 @@ def take_cols(x: Var, idx: np.ndarray) -> Var:
     return Var(out, (x,), vjp)
 
 
-def lincomb(scalars: list[Var], terms: list) -> Var:
-    """Sum of ``scalars[i] * terms[i]``, added in term order. Each term is a
+def relu_lincomb(scalars: list[Var], terms: list) -> Var:
+    """ReLU of the sum of ``scalars[i] * terms[i]``, added in term order:
+    one simplicial filter and its nonlinearity as one node. Each term is a
     constant array or a Var of the output's shape; constant terms are not
-    graph parents."""
+    graph parents. The ReLU runs in place on the sum, and the VJP masks
+    with ``out > 0.0``, which holds exactly where the sum was > 0.0."""
     values = [t.value if isinstance(t, Var) else t for t in terms]
     out = scalars[0].value * values[0]
     for s, value in zip(scalars[1:], values[1:]):
         out += s.value * value
+    np.maximum(out, 0.0, out=out)
     nodes = [(s, t) for s, t in zip(scalars, terms) if isinstance(t, Var)]
 
     def vjp(g):
+        g = g * (out > 0.0)
         return tuple(np.vdot(value, g) for value in values) + tuple(
             s.value * g for s, _ in nodes
         )

@@ -475,7 +475,7 @@ class ScrnnModel(Decoder):
         returns the output summed over filters per dimension."""
         dims = range(self.complex.dim + 1)
         feats = [
-            {k: ad.relu(ad.lincomb(self._filter_weights(0, fi, k), first_terms[k])) for k in dims}
+            {k: ad.relu_lincomb(self._filter_weights(0, fi, k), first_terms[k]) for k in dims}
             for fi in range(self.n_filters)
         ]
         for li in range(1, self.sc_layers):
@@ -492,10 +492,8 @@ class ScrnnModel(Decoder):
             }
             feats = [
                 {
-                    k: ad.relu(
-                        ad.lincomb(
-                            weights[k], list(self._laplacian_powers(k, feat[k], ad.spmm))
-                        )
+                    k: ad.relu_lincomb(
+                        weights[k], list(self._laplacian_powers(k, feat[k], ad.spmm))
                     )
                     for k in dims
                 }
@@ -655,11 +653,6 @@ def param_values(model) -> dict[str, np.ndarray]:
     return {name: np.array(p.value, copy=True) for name, p in model.params.items()}
 
 
-def set_param_values(model, values: dict[str, np.ndarray]) -> None:
-    for name, p in model.params.items():
-        p.value = np.array(values[name], copy=True)
-
-
 def save_checkpoint(dirpath, model, cfg) -> None:
     """Write the complex dump (when present), ``weights.npz`` (one float64
     array per parameter, keyed by name) and a config echo."""
@@ -671,7 +664,7 @@ def save_checkpoint(dirpath, model, cfg) -> None:
             fh.write(complex_to_json(model.complex))
     # A file handle, since ``np.savez`` appends ``.npz`` to a path lacking it.
     with open(os.path.join(dirpath, "weights.npz"), "wb") as fh:
-        np.savez(fh, **param_values(model))
+        np.savez(fh, **{name: p.value for name, p in model.params.items()})
     write_config(cfg, os.path.join(dirpath, "config.txt"))
 
 

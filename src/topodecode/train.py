@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import TrainConfig, config_from_dict
 from .metrics import ErrorReport, report_grid, report_hd
-from .model import PreparedData, build_model, param_values, predictions_to_labels, prepare, set_param_values
+from .model import PreparedData, build_model, param_values, predictions_to_labels, prepare
 
 __all__ = [
     "TrainConfig",
@@ -44,7 +44,9 @@ def mse_loss(pred, target) -> float:
 
 
 def backward(model, prep: PreparedData, starts, training=False, rng=None):
-    """One reverse pass; returns (loss value, gradients keyed like params)."""
+    """One reverse pass; returns (loss value, gradients keyed like params).
+    The gradients are the parameters' ``.grad`` arrays, which the next pass
+    releases before its forward."""
     for p in model.params.values():
         p.grad = None
     loss, _ = model.loss_batch(prep, starts, training=training, rng=rng)
@@ -56,22 +58,22 @@ def backward(model, prep: PreparedData, starts, training=False, rng=None):
     return float(loss.value), grads
 
 
-def _clip_global_norm(grads: dict, max_norm: float) -> None:
+def _clip_global_norm(grads: dict, max_norm: float) -> float:
+    """The factor that scales the gradients' global norm down to
+    ``max_norm``, or 1.0 when it is within it."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.square(g)))
     norm = np.sqrt(total)
-    if norm > max_norm:
-        factor = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
+    return max_norm / norm if norm > max_norm else 1.0
 
 
 class Adam:
     """Adaptive moment estimation with bias correction. The moments of all
     parameters sit in flat buffers in sorted name order, and each step
     updates them and the parameters' values in place through two scratch
-    buffers of the same length. ``m[name]`` and ``v[name]`` are views."""
+    buffers of the same length that live for the step only. ``m[name]``
+    and ``v[name]`` are views."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -82,7 +84,7 @@ class Adam:
         self._names = sorted(params)
         bounds = np.cumsum([0] + [params[name].value.size for name in self._names])
         self._parts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self._m, self._v, self._g, self._s = np.zeros((4, bounds[-1]))
+        self._m, self._v = np.zeros((2, bounds[-1]))
         self.m, self.v = (
             {
                 name: flat[part].reshape(params[name].value.shape)
@@ -91,11 +93,16 @@ class Adam:
             for flat in (self._m, self._v)
         )
 
-    def step(self, grads: dict) -> None:
+    def step(self, grads: dict, factor: float = 1.0) -> None:
+        """One update from ``grads`` scaled by ``factor`` (the clip factor
+        of ``_clip_global_norm``)."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        m, v, g, s = self._m, self._v, self._g, self._s
-        np.concatenate([np.ravel(grads[name]) for name in self._names], out=g)
+        m, v = self._m, self._v
+        g = np.concatenate([np.ravel(grads[name]) for name in self._names])
+        if factor != 1.0:
+            g *= factor
+        s = np.empty_like(g)
         # In the order of m = b1 * m + (1 - b1) * g,
         # v = b2 * v + (1 - b2) * g * g and
         # p = p - lr * (m / correct1) / (sqrt(v / correct2) + eps).
@@ -140,8 +147,10 @@ def train(model, prep: PreparedData, cfg: TrainConfig):
                     f"non-finite loss at epoch {epoch}, batch {n_batches} "
                     f"(lr={cfg.learning_rate})"
                 )
-            _clip_global_norm(grads, CLIP_NORM)
-            optimizer.step(grads)
+            optimizer.step(grads, _clip_global_norm(grads, CLIP_NORM))
+            # With the next pass releasing ``.grad``, the step's gradients
+            # are freed before the next forward.
+            del grads
             epoch_loss += loss
             n_batches += 1
         val_loss = _validation_loss(model, prep)
@@ -158,7 +167,9 @@ def train(model, prep: PreparedData, cfg: TrainConfig):
             best_val = val_loss
             best_weights = param_values(model)
     if best_weights is not None:
-        set_param_values(model, best_weights)
+        # ``param_values`` made these copies; nothing else holds them.
+        for name, p in model.params.items():
+            p.value = best_weights[name]
     return model, curve
 
 

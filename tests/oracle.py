@@ -17,7 +17,9 @@ in its vertex-count form (a sparse membership matrix times the bits);
 ``init_params``, a new model's initial weights drawn a filter or a matrix
 at a time, where the package draws its parameter table row by row;
 ``weights_json``, the ``json.dumps`` of the entry dicts that older
-checkpoints hold as ``weights.json``, which the package still reads; and
+checkpoints hold as ``weights.json``, which the package still reads;
+``relu_lincomb``, a filter's weighted sum and its ReLU as two steps,
+where the package makes them one node; and
 the simplicial complex built and indexed one simplex at a time, as tuple
 lists with a dict per dimension (``build_simplices``, ``faces``,
 ``incidence_matrix``, ``complex_to_json``), which the package does in
@@ -461,3 +463,20 @@ def init_params(model, cfg) -> dict:
                 params.update(zip(names, rng.uniform(-bound, bound, size=len(names))))
     params.update(_rnn_init(model.input_width, cfg, rng))
     return params
+
+
+def relu_lincomb(weights, terms, g):
+    """ReLU of ``sum(weights[i] * terms[i])`` and its gradients as two
+    nodes compute them: a weighted sum added in term order, then a ReLU
+    whose VJP masks ``g`` by the sum being > 0.0. Returns the value, the
+    weight gradients (``np.vdot`` of each term with the masked ``g``) and
+    each term's gradient (its weight times the masked ``g``)."""
+    pre = weights[0] * terms[0]
+    for w, t in zip(weights[1:], terms[1:]):
+        pre += w * t
+    g_pre = g * (pre > 0.0)
+    return (
+        np.maximum(pre, 0.0),
+        [np.vdot(t, g_pre) for t in terms],
+        [w * g_pre for w in weights],
+    )

@@ -4,8 +4,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
+import oracle
 from topodecode import autodiff as ad
 from topodecode.complexes import SimplicialComplex, incidence_matrix
 from topodecode.model import FactoredHalf
@@ -42,10 +46,10 @@ def test_add_broadcast_and_matmul():
     fd_check(lambda: ad.mse(ad.add(ad.matmul(w, x), b), t), [w, x, b])
 
 
-def test_lincomb_over_constant_and_var_terms():
-    """A weighted sum of constant terms, a Var and a sparse product of it:
-    summed in term order, constant terms left out of the graph, and its
-    gradients equal to central differences."""
+def test_relu_lincomb_over_constant_and_var_terms():
+    """A filter over constant terms, a Var and a sparse product of it: the
+    ReLU of the sum in term order, constant terms left out of the graph,
+    and its gradients equal to central differences."""
     rng = np.random.default_rng(1)
     m = sparse.random(6, 6, density=0.4, random_state=2, format="csr")
     x = ad.var(rng.normal(size=(6, 3)))
@@ -54,16 +58,45 @@ def test_lincomb_over_constant_and_var_terms():
     t = rng.normal(size=(6, 3))
 
     def build():
-        return ad.lincomb(ws, [c0, x, ad.spmm(m, x), c1])
+        return ad.relu_lincomb(ws, [c0, x, ad.spmm(m, x), c1])
 
     out = build()
     want = ws[0].value * c0
     for w, term in zip(ws[1:], (x.value, m @ x.value, c1)):
         want += w.value * term
+    want = np.maximum(want, 0.0)
+    assert np.any(want == 0.0) and np.any(want > 0.0)
     assert out.value.tobytes() == want.tobytes()
     assert out._parents[:5] == (*ws, x) and len(out._parents) == 6
-    assert ad.lincomb(ws[:2], [c0, c1])._parents == tuple(ws[:2])
+    assert ad.relu_lincomb(ws[:2], [c0, c1])._parents == tuple(ws[:2])
     fd_check(lambda: ad.mse(build(), t), [x, *ws])
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan])
+_ENTRIES = st.one_of(_SPECIAL, st.floats(-8.0, 8.0))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_relu_lincomb_bitwise_equals_relu_of_weighted_sum(data):
+    """Value and gradients, bit for bit, of a weighted sum followed by a
+    ReLU as two steps, on sums that are exactly 0.0 or -0.0, negative or
+    NaN, over any mix of constant and Var terms."""
+    n_terms = data.draw(st.integers(1, 4))
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    ws = [ad.var(data.draw(_ENTRIES)) for _ in range(n_terms)]
+    terms = [data.draw(hnp.arrays(np.float64, shape, elements=_ENTRIES)) for _ in range(n_terms)]
+    args = [ad.var(t) if data.draw(st.booleans()) else t for t in terms]
+    g = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-8.0, 8.0)))
+    want, dws, dts = oracle.relu_lincomb([w.value for w in ws], terms, g)
+    out = ad.relu_lincomb(ws, args)
+    assert out.value.tobytes() == want.tobytes()
+    ad.backward(ad.mul_mask(out, g))
+    for w, dw in zip(ws, dws):
+        assert np.asarray(w.grad).tobytes() == np.asarray(dw).tobytes()
+    for arg, dt in zip(args, dts):
+        if isinstance(arg, ad.Var):
+            assert arg.grad.tobytes() == dt.tobytes()
 
 
 @pytest.mark.parametrize("k, lower", [(1, True), (2, True), (1, False)])
@@ -80,7 +113,8 @@ def test_spmm_through_factored_half(k, lower):
     ws = [ad.var(0.7), ad.var(-0.4)]
     t = rng.normal(size=(n, 3))
     fd_check(
-        lambda: ad.mse(ad.lincomb(ws, [x, ad.spmm(op, ad.relu(ad.spmm(op, x)))]), t), [x, *ws]
+        lambda: ad.mse(ad.relu_lincomb(ws, [x, ad.spmm(op, ad.relu(ad.spmm(op, x)))]), t),
+        [x, *ws],
     )
 
 

@@ -1,6 +1,8 @@
+import io
 import json
 import pathlib
 import shutil
+import time
 import zipfile
 
 import numpy as np
@@ -21,11 +23,13 @@ from topodecode.model import (
     decode_angles,
     encode_angle,
     load_checkpoint,
+    param_values,
     prepare,
     save_checkpoint,
     scrnn_predict,
 )
 from topodecode.synth import HdSimConfig, simulate_hd
+from topodecode.train import train
 
 
 def small_hd_prep(arch="scrnn", seed=3, duration=60.0, **cfg_kw):
@@ -167,6 +171,44 @@ class TestScrnnForward:
         assert np.all(np.isfinite(y))
         angle = decode_angle(y)
         assert 0.0 <= angle < 360.0
+
+
+def graph_size(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestGraphSize:
+    def test_default_scrnn_step_nodes(self):
+        """The default SCRNN (2 layers of 2 filters, degree 1, one RNN
+        layer, seq_len 5) on a complex of dimension 2 makes one node per
+        filter and dimension: 12 fewer than a weighted-sum node followed
+        by a ReLU node."""
+        prep, cfg = small_hd_prep(nn_layers=1, p=0.6)
+        assert prep.complex.dim == 2 and cfg.n_col == 1
+        model = build_model("scrnn", prep, cfg)
+        loss, _ = model.loss_batch(prep, prep.train_starts[:8])
+        nodes = {
+            # Per layer and filter, the weights of k = 0, 1, 2: 2 + 3 + 2.
+            "filter weights": 2 * 2 * 7,
+            "filters (layer 1, layer 2)": 6 + 6,
+            "layer 2 summed weights": 7,
+            "layer 2 sparse products": 2 * (1 + 2 + 1),
+            "sums over filters": 3,
+            "rnn.l0.w_h and its projection": 2,
+            "per-bin gathers and their sum": 3 + 1,
+            "per-step gathers": 5,
+            # w_c, b_h, b_c, h0; per step 3 adds, a matmul and a tanh.
+            "recurrence": 4 + 5 * 5,
+            "head and loss": 4 + 1,
+        }
+        assert sum(nodes.values()) == 103
+        assert graph_size(loss) == 103
 
 
 class TestWindowStarts:
@@ -540,6 +582,24 @@ class TestCheckpoint:
         edit_npz(tmp_path / "weights.npz", edit)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("arch", ["scrnn", "ffnn"])
+    def test_weight_file_bytes_equal_savez_of_copies(self, tmp_path, arch, monkeypatch):
+        """``weights.npz`` holds the bytes that ``np.savez`` of copies of
+        the parameters writes, for a trained model (its weights restored
+        from the best epoch) and for one loaded from its checkpoint. The
+        clock is fixed, since each zip entry records the time it was
+        written."""
+        prep, cfg = small_hd_prep(arch=arch, epochs=2)
+        model, _ = train(build_model(arch, prep, cfg), prep, cfg)
+        monkeypatch.setattr(time, "time", lambda: 1.7e9)
+        save_checkpoint(tmp_path / "trained", model, cfg)
+        loaded, _ = load_checkpoint(tmp_path / "trained")
+        save_checkpoint(tmp_path / "loaded", loaded, cfg)
+        for name, m in (("trained", model), ("loaded", loaded)):
+            want = io.BytesIO()
+            np.savez(want, **param_values(m))
+            assert (tmp_path / name / "weights.npz").read_bytes() == want.getvalue()
 
     @pytest.mark.parametrize("arch", ["scrnn", "gnn", "ffnn", "rnn"])
     def test_weight_bits_survive_roundtrip(self, tmp_path, arch):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -79,13 +81,14 @@ class TestBackward:
         assert all(not np.any(g) for g in grads.values())
 
     def test_single_scalar_weight_matches_chain_rule(self):
-        # loss = mean((w * x - t)^2); dloss/dw = 2 * mean((w x - t) x)
+        # loss = mean((relu(w x) - t)^2);
+        # dloss/dw = 2 * mean((relu(w x) - t) x [w x > 0])
         w = ad.var(0.8)
         x = np.array([[1.0, -2.0, 0.5]])
         t = np.array([[0.3, 0.1, -0.4]])
-        loss = ad.mse(ad.lincomb([w], [x]), t)
+        loss = ad.mse(ad.relu_lincomb([w], [x]), t)
         ad.backward(loss)
-        expect = np.mean(2.0 * (0.8 * x - t) * x)
+        expect = np.mean(2.0 * (np.maximum(0.8 * x, 0.0) - t) * x * (x > 0.0))
         np.testing.assert_allclose(w.grad, expect, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -129,7 +132,8 @@ class TestBackward:
 class TestAdam:
     def test_in_place_step_equals_allocating_formula(self):
         """Five steps update 0-d and 2-D parameters in place, bit for bit as
-        the allocating formula does; gradients may be numpy scalars, as
+        the allocating formula does on gradients scaled by the clip factor
+        (a copy per gradient); gradients may be numpy scalars, as
         ``np.vdot`` returns them for 0-d parameters."""
         rng = np.random.default_rng(11)
         shapes = {"a": (), "b": (3, 4), "c": (1, 1)}
@@ -145,8 +149,10 @@ class TestAdam:
             grads["a"] = np.float64(grads["a"])
             if t == 3:
                 grads["b"][0] = 0.0
-            optimizer.step(grads)
+            factor = 0.37 if t % 2 == 0 else 1.0
+            optimizer.step(grads, factor)
             for name, g in grads.items():
+                g = g * factor
                 m[name] = b1 * m[name] + (1.0 - b1) * g
                 v[name] = b2 * v[name] + (1.0 - b2) * g * g
                 m_hat = m[name] / (1.0 - b1 ** t)
@@ -187,9 +193,9 @@ class TestTrainLoop:
         optimizer_steps = []
         original_step = Adam.step
 
-        def counting_step(self, grads):
+        def counting_step(self, grads, *args):
             optimizer_steps.append(1)
-            return original_step(self, grads)
+            return original_step(self, grads, *args)
 
         Adam.step = counting_step
         try:
@@ -200,6 +206,32 @@ class TestTrainLoop:
         assert len(curve) == 1
         after = param_values(model)
         assert any(not np.array_equal(before[k], after[k]) for k in before)
+
+    def test_no_gradient_outlives_its_step(self, monkeypatch):
+        """When step 1's forward starts, nothing holds a gradient array of
+        step 0: the loop drops its gradient dict once Adam has used it, and
+        the next gradient pass releases the parameters' ``.grad`` before
+        its forward."""
+        prep, cfg = tiny_prep_and_cfg(epochs=1)
+        assert len(prep.train_starts) > cfg.batch_size
+        model = build_model("scrnn", prep, cfg)
+        refs, dead_at_forward = [], []
+        original_step, original_forward = Adam.step, model.forward
+
+        def recording_step(self, grads, *args):
+            refs.append([weakref.ref(g) for g in grads.values() if isinstance(g, np.ndarray)])
+            return original_step(self, grads, *args)
+
+        def checking_forward(*args, **kwargs):
+            if len(refs) == 1 and not dead_at_forward:
+                dead_at_forward.append([ref() is None for ref in refs[0]])
+            return original_forward(*args, **kwargs)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        monkeypatch.setattr(model, "forward", checking_forward)
+        train(model, prep, cfg)
+        assert len(refs) > 1 and len(refs[0]) >= 5
+        assert dead_at_forward == [[True] * len(refs[0])]
 
     def test_fixture_halves_validation_loss(self):
         cfg = TrainConfig(
@@ -236,9 +268,13 @@ class TestTrainLoop:
         from topodecode.train import _clip_global_norm
 
         grads = {"a": np.full(5, 10.0), "b": np.full((2, 2), -10.0)}
-        _clip_global_norm(grads, 5.0)
-        total = sum(float(np.sum(np.square(g))) for g in grads.values())
+        arrays = dict(grads)
+        factor = _clip_global_norm(grads, 5.0)
+        total = sum(float(np.sum(np.square(g * factor))) for g in grads.values())
         assert abs(np.sqrt(total) - 5.0) < 1e-9
+        assert _clip_global_norm(grads, 30.0) == 1.0
+        for name, g in grads.items():
+            assert g is arrays[name] and np.all(np.abs(g) == 10.0)
 
     def test_best_validation_weights_returned(self):
         prep, cfg = tiny_prep_and_cfg(epochs=6, learning_rate=5e-3)
