@@ -4,6 +4,11 @@ Spike trains are binned and binarized, co-firing patterns become a
 functional simplicial complex, and Hodge-Laplacian simplicial convolution
 features feed a recurrent network that regresses head direction or 2-D
 position.
+
+Importing the package changes nothing in the process. The first ``train``
+or decoder ``predict`` call sets glibc's malloc thresholds for the whole
+process, so up to 64 MiB of freed heap is kept for reuse rather than
+returned to the OS (``autodiff.retain_freed_memory``).
 """
 
 from .config import TrainConfig

@@ -20,6 +20,8 @@ inputs side by side.
 
 from __future__ import annotations
 
+import ctypes
+import platform
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "mse",
     "backward",
     "no_grad",
+    "retain_freed_memory",
 ]
 
 _recording = True
@@ -284,3 +287,35 @@ def no_grad():
         yield
     finally:
         _recording = previous
+
+
+# glibc's mallopt parameters (malloc.h). The mmap threshold is the ceiling of
+# glibc's own dynamic threshold on 64-bit; the trim threshold is twice it,
+# the ratio the dynamic rule keeps.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_BYTES = 32 << 20
+_TRIM_BYTES = 2 * _MMAP_BYTES
+
+
+def retain_freed_memory() -> bool:
+    """Have glibc keep up to 64 MiB of freed heap for reuse, for the whole
+    process. Returns whether both settings took.
+
+    By default glibc serves allocations from 128 KiB up by ``mmap`` until
+    one is freed, then raises that threshold to the freed size and trims
+    the heap top once more than twice it is free. Arrays of a few hundred
+    KiB, allocated and freed once per step, are then returned to the OS at
+    the end of each step and faulted in again, page by page, on the next.
+    Fixing both thresholds keeps blocks under 32 MiB on the heap and a free
+    heap top under 64 MiB in place. Nothing is computed differently. Does
+    nothing and returns False where the C library is not glibc."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    results = [
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES),
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES),
+    ]
+    return results == [1, 1]

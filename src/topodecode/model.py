@@ -356,7 +356,12 @@ class Decoder:
         """Model outputs for a list of window starts, shape (2, n).
 
         A window reads ``seq_len + n_col - 1`` consecutive bins, so a start
-        outside ``[0, n_bins - seq_len - n_col + 1]`` is rejected."""
+        outside ``[0, n_bins - seq_len - n_col + 1]`` is rejected.
+
+        The first call in a process sets glibc's malloc thresholds for the
+        whole process (``autodiff.retain_freed_memory``), so up to 64 MiB of
+        freed heap is kept for reuse rather than returned to the OS."""
+        ad.retain_freed_memory()
         starts = np.asarray(starts)
         if starts.size == 0:
             return np.zeros((2, 0))

@@ -45,8 +45,9 @@ def mse_loss(pred, target) -> float:
 
 def backward(model, prep: PreparedData, starts, training=False, rng=None):
     """One reverse pass; returns (loss value, gradients keyed like params).
-    The gradients are the parameters' ``.grad`` arrays, which the next pass
-    releases before its forward."""
+    The gradients are the parameters' ``.grad`` arrays. A pass clears any
+    ``.grad`` left from an earlier one before its forward, and ``train``
+    releases them as soon as Adam has used them."""
     for p in model.params.values():
         p.grad = None
     loss, _ = model.loss_batch(prep, starts, training=training, rng=rng)
@@ -130,7 +131,13 @@ def _validation_loss(model, prep) -> float:
 
 def train(model, prep: PreparedData, cfg: TrainConfig):
     """Minibatch Adam over the training windows; keeps the weights from the
-    best validation epoch. Returns (model, loss curve rows)."""
+    best validation epoch. Returns (model, loss curve rows). No parameter
+    keeps a ``.grad`` once a step is done.
+
+    The first call in a process sets glibc's malloc thresholds for the whole
+    process (``autodiff.retain_freed_memory``), so up to 64 MiB of freed
+    heap is kept for the next step rather than returned to the OS."""
+    ad.retain_freed_memory()
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, cfg.learning_rate)
     curve = []
@@ -148,9 +155,10 @@ def train(model, prep: PreparedData, cfg: TrainConfig):
                     f"(lr={cfg.learning_rate})"
                 )
             optimizer.step(grads, _clip_global_norm(grads, CLIP_NORM))
-            # With the next pass releasing ``.grad``, the step's gradients
-            # are freed before the next forward.
+            # The step's gradients are freed before the next forward.
             del grads
+            for p in model.params.values():
+                p.grad = None
             epoch_loss += loss
             n_batches += 1
         val_loss = _validation_loss(model, prep)

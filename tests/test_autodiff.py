@@ -1,6 +1,11 @@
 """Finite-difference checks for every primitive in the autodiff engine."""
 
+import os
+import platform
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +300,55 @@ def test_block_matmul_bitwise_equals_gather_and_products():
     got = run(lambda k: ad.take_cols(fused, reads[k] + cols[k]))
     for a, b in zip(got, composed):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Four rounds of 64 arrays of 256 KiB (16 MiB), each round allocated, touched
+# and freed; prints each round's minor page faults.
+_ROUNDS_SCRIPT = """
+import resource, sys
+import numpy as np
+from topodecode import autodiff as ad
+if sys.argv[1] == "retain":
+    assert ad.retain_freed_memory()
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pieces = [np.ones(32768) for _ in range(64)]
+    del pieces
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+def _round_faults(mode):
+    src = str(Path(ad.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _ROUNDS_SCRIPT, mode],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return [int(n) for n in done.stdout.split()]
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="sets and tests glibc's malloc thresholds"
+)
+def test_retained_heap_is_reused_without_faulting():
+    """By default glibc trims a freed 16 MiB heap top, so every round
+    faults its pages in again; with the thresholds set, the first round's
+    pages are reused. Each case runs in a fresh process, as the setting
+    lasts for the whole process."""
+    first, *later = _round_faults("retain")
+    assert first > 2000 and max(later) < 0.1 * first, (first, later)
+    first, *later = _round_faults("default")
+    assert first > 2000 and min(later) > 0.5 * first, (first, later)
+
+
+def test_retain_freed_memory_does_nothing_off_glibc(monkeypatch):
+    def no_library(*args, **kwargs):
+        raise AssertionError("loaded a C library off glibc")
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("musl", "1.2"))
+    monkeypatch.setattr(ad.ctypes, "CDLL", no_library)
+    assert ad.retain_freed_memory() is False

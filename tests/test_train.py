@@ -208,14 +208,14 @@ class TestTrainLoop:
         assert any(not np.array_equal(before[k], after[k]) for k in before)
 
     def test_no_gradient_outlives_its_step(self, monkeypatch):
-        """When step 1's forward starts, nothing holds a gradient array of
-        step 0: the loop drops its gradient dict once Adam has used it, and
-        the next gradient pass releases the parameters' ``.grad`` before
-        its forward."""
+        """When any later forward starts, a training step's or validation's,
+        nothing holds a gradient array of an earlier step: once Adam has
+        used them, the loop drops its gradient dict and releases every
+        parameter's ``.grad``."""
         prep, cfg = tiny_prep_and_cfg(epochs=1)
         assert len(prep.train_starts) > cfg.batch_size
         model = build_model("scrnn", prep, cfg)
-        refs, dead_at_forward = [], []
+        refs, alive_at_forward = [], []
         original_step, original_forward = Adam.step, model.forward
 
         def recording_step(self, grads, *args):
@@ -223,15 +223,40 @@ class TestTrainLoop:
             return original_step(self, grads, *args)
 
         def checking_forward(*args, **kwargs):
-            if len(refs) == 1 and not dead_at_forward:
-                dead_at_forward.append([ref() is None for ref in refs[0]])
+            if refs:
+                alive_at_forward.append(sum(r() is not None for step in refs for r in step))
             return original_forward(*args, **kwargs)
 
         monkeypatch.setattr(Adam, "step", recording_step)
         monkeypatch.setattr(model, "forward", checking_forward)
         train(model, prep, cfg)
         assert len(refs) > 1 and len(refs[0]) >= 5
-        assert dead_at_forward == [[True] * len(refs[0])]
+        assert len(alive_at_forward) >= len(refs)
+        assert not any(alive_at_forward)
+
+    def test_no_parameter_keeps_a_gradient_after_train(self):
+        prep, cfg = tiny_prep_and_cfg(epochs=2)
+        model = build_model("scrnn", prep, cfg)
+        train(model, prep, cfg)
+        assert all(p.grad is None for p in model.params.values())
+
+    def test_train_and_predict_retain_freed_memory_before_forward(self, monkeypatch):
+        prep, cfg = tiny_prep_and_cfg(epochs=1)
+        model = build_model("scrnn", prep, cfg)
+        calls = []
+        original_forward = model.forward
+
+        def recording_forward(*args, **kwargs):
+            calls.append("forward")
+            return original_forward(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "retain_freed_memory", lambda: calls.append("retain"))
+        monkeypatch.setattr(model, "forward", recording_forward)
+        train(model, prep, cfg)
+        assert calls[:2] == ["retain", "forward"]
+        calls.clear()
+        model.predict(prep, prep.test_starts)
+        assert calls[:2] == ["retain", "forward"]
 
     def test_fixture_halves_validation_loss(self):
         cfg = TrainConfig(
